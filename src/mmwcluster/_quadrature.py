@@ -34,10 +34,14 @@ def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=64)
 def relative_template(fractions: tuple[float, ...], order: int) -> tuple[np.ndarray, np.ndarray]:
     """Panel rule on [0, 1] from panel-edge fractions; scale by the interval
-    length to integrate over [0, L]."""
-    return panel_rule(np.asarray(fractions, dtype=float), order)
+    length to integrate over [0, L].  Cached; the arrays are read-only."""
+    nodes, weights = panel_rule(np.asarray(fractions, dtype=float), order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 class CumulativeQuadrature:

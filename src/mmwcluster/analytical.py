@@ -36,6 +36,7 @@ from .model import (
     ChannelParams,
     GainTable,
     NetworkConfig,
+    serving_distance_pdf,
     serving_distance_pdf_approx,
 )
 from ._quadrature import gl_nodes, relative_template
@@ -121,6 +122,7 @@ _V_EDGE_SIGMAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0,
                   5.0, 6.5, 8.0, 10.0, 12.0)
 _V_ORDER = 8
 _V_CHUNK = 8
+_PANEL_BATCH = 8
 
 
 def _bracket_mean(scaled: np.ndarray, gains: np.ndarray, probs: np.ndarray,
@@ -135,15 +137,15 @@ def _bracket_mean(scaled: np.ndarray, gains: np.ndarray, probs: np.ndarray,
 
 def kernel_los(s, r, n: int, table: GainTable, channel: ChannelParams):
     """Per-interferer unblocked-link kernel at Laplace argument s (order n)."""
-    return _kernel(s, r, n, table, channel, los=True)
+    return _kernel(s, r, n, table, channel, include_nlos=False)
 
 
 def kernel_nlos(s, r, n: int, table: GainTable, channel: ChannelParams):
     """Per-interferer blocked-link kernel at Laplace argument s (order n)."""
-    return _kernel(s, r, n, table, channel, los=False)
+    return _kernel(s, r, n, table, channel, include_los=False)
 
 
-def _kernel(s, r, n, table, channel, los: bool):
+def _kernel(s, r, n, table, channel, **branch):
     s_arr = np.asarray(s, dtype=float)
     r_arr = np.asarray(r, dtype=float)
     if np.any(s_arr < 0.0):
@@ -153,14 +155,7 @@ def _kernel(s, r, n, table, channel, los: bool):
     if n < 1:
         raise ValueError("n must be >= 1")
     gains, probs = table.as_arrays()
-    if los:
-        scaled = (n * s_arr) * channel.intercept_los * r_arr ** (-channel.alpha_los)
-        out = (1.0 - _bracket_mean(scaled, gains, probs, channel.nakagami_los)) \
-            * np.exp(-channel.blockage_rate * r_arr)
-    else:
-        scaled = (n * s_arr) * channel.intercept_nlos * r_arr ** (-channel.alpha_nlos)
-        out = (1.0 - _bracket_mean(scaled, gains, probs, channel.nakagami_nlos)) \
-            * (1.0 - np.exp(-channel.blockage_rate * r_arr))
+    out = _kernel_grid(n * s_arr, r_arr, gains, probs, channel, **branch)
     if np.ndim(s) == 0 and np.ndim(r) == 0:
         return float(out)
     return out
@@ -217,46 +212,58 @@ def _inter_exponent(cfg: NetworkConfig, quad: QuadratureSpec,
     gains, probs = cfg.gain_table().as_arrays()
     sbar = cfg.mean_active
     pref = 2.0 * math.pi * cfg.parent_density
-    u_v, w_v = gl_nodes(_V_ORDER)
-    u_w, w_w = relative_template(_W_FRACS, _W_ORDER)
+    # few arguments: evaluate several outer panels per kernel call, since the
+    # per-call overhead then outweighs the panels computed past convergence
+    batch = max(1, _PANEL_BATCH // tp.size)
 
-    def panel_value(lo: float, hi: float) -> tuple[np.ndarray, float]:
-        v = lo + (hi - lo) * u_v
-        wv = (hi - lo) * w_v
-        w_lo = np.maximum(v - cut * sigma, 0.0)
-        w_hi = v + cut * sigma
-        w = w_lo[:, None] + (w_hi - w_lo)[:, None] * u_w[None, :]
-        pdf_w = rician_pdf(w, v[:, None], sigma * sigma) \
-            * ((w_hi - w_lo)[:, None] * w_w[None, :])
-        inner = np.empty((tp.size, v.size))
+    def panel_values(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Contribution and endpoint density of each panel, shape (t, panel)."""
+        vwv, w, pdf_w = _inter_panels(edges, sigma, cut)
+        inner = np.empty((tp.size,) + vwv.shape)
         for k0 in range(0, tp.size, 16):
             sl = slice(k0, min(k0 + 16, tp.size))
-            kern = _kernel_grid(tp[sl, None, None], w[None, :, :], gains, probs, ch)
-            inner[sl] = np.einsum("kvw,vw->kv", kern, pdf_w)
-        contrib = pref * np.sum((1.0 - np.exp(-sbar * inner)) * (v * wv)[None, :], axis=1)
+            kern = _kernel_grid(tp[sl, None, None, None], w[None], gains, probs, ch)
+            inner[sl] = np.einsum("kpvw,pvw->kpv", kern, pdf_w)
+        contrib = pref * np.sum((1.0 - np.exp(-sbar * inner)) * vwv, axis=-1)
         # endpoint integrand density, used for the power-law tail estimate
-        end = pref * (1.0 - np.exp(-sbar * inner[:, -1])) * hi
+        end = pref * (1.0 - np.exp(-sbar * inner[..., -1])) * np.asarray(edges[1:])
         return contrib, end
 
     h = np.zeros(tp.size)
-    edges = [e * sigma for e in (0.0, 1.0, 2.0, 4.0, 8.0, cut)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        contrib, _ = panel_value(lo, hi)
-        h += contrib
-    lo = edges[-1]
-    for _ in range(quad.max_subdivisions):
-        hi = lo * 1.6
-        contrib, end = panel_value(lo, hi)
-        h += contrib
-        tail = end * hi / (ch.alpha_nlos - 2.0)
-        if np.all(tail < np.maximum(0.1 * quad.abs_tol, 3e-5 * h)):
-            break
-        lo = hi
-    else:
-        raise NumericalError("outer inter-cluster integral did not converge",
-                             value=float(np.max(h)))
-    out[pos] = h
-    return out
+    contrib, _ = panel_values(tuple(e * sigma for e in (0.0, 1.0, 2.0, 4.0, 8.0, cut)))
+    for p in range(contrib.shape[1]):
+        h += contrib[:, p]
+    edges = [cut * sigma]
+    while len(edges) <= quad.max_subdivisions:
+        start = len(edges) - 1
+        for _ in range(min(batch, quad.max_subdivisions + 1 - len(edges))):
+            edges.append(edges[-1] * 1.6)
+        contrib, end = panel_values(tuple(edges[start:]))
+        for p in range(contrib.shape[1]):
+            h += contrib[:, p]
+            tail = end[:, p] * edges[start + p + 1] / (ch.alpha_nlos - 2.0)
+            if np.all(tail < np.maximum(0.1 * quad.abs_tol, 3e-5 * h)):
+                out[pos] = h
+                return out
+    raise NumericalError("outer inter-cluster integral did not converge",
+                         value=float(np.max(h)))
+
+
+@lru_cache(maxsize=64)
+def _inter_panels(edges: tuple[float, ...], sigma: float, cut: float):
+    """Outer panels [edges[i], edges[i+1]] of the inter-cluster integral:
+    center-distance nodes times their weights, and the device-distance nodes
+    and Rician weights at each center node (leading axis: panel)."""
+    u_v, w_v = gl_nodes(_V_ORDER)
+    u_w, w_w = relative_template(_W_FRACS, _W_ORDER)
+    lo = np.asarray(edges[:-1])[:, None]
+    width = np.asarray(edges[1:])[:, None] - lo
+    v = lo + width * u_v
+    w_lo = np.maximum(v - cut * sigma, 0.0)
+    w_span = (v + cut * sigma - w_lo)[..., None]
+    w = w_lo[..., None] + w_span * u_w
+    pdf_w = rician_pdf(w, v[..., None], sigma * sigma) * (w_span * w_w)
+    return v * (width * w_v), w, pdf_w
 
 
 class _InterTable:
@@ -326,8 +333,10 @@ class _InterTable:
         return out
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _inter_table(cfg: NetworkConfig, quad: QuadratureSpec) -> _InterTable:
+    # a full load scan (cluster sizes up to 40) fits, so scanning again at
+    # another threshold reuses every table
     return _InterTable(cfg, quad)
 
 
@@ -358,63 +367,55 @@ def laplace_inter(n: int, s: float, cfg: NetworkConfig,
 # ---------------------------------------------------------------------------
 
 
-def _intra_exponent(model: AssociationModel, t: np.ndarray, v: float,
-                    r_serving: float | None, flags: CoverageFlags,
-                    cfg: NetworkConfig, quad: QuadratureSpec) -> np.ndarray:
+def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFlags,
+                    cfg: NetworkConfig, quad: QuadratureSpec,
+                    w_rule: tuple[tuple[float, ...], int]) -> np.ndarray:
     """Per-interferer integral J with L_intra = exp(-(mean_active - 1) * J).
 
-    Vectorized over t.  Under ``use_assumption1`` the interferer distance law
-    collapses to the unconditioned Rayleigh for every model.
+    Broadcasts over t, v and r_serving.  ``w_rule`` is the (panel fractions,
+    order) template of the untruncated interferer-distance integrals; the
+    integrals truncated at the serving distance always use the _W2 template.
+    Under ``use_assumption1`` the interferer distance law collapses to the
+    unconditioned Rayleigh for every model.
     """
     ch = cfg.channel
     sigma = cfg.scatter_std
+    var = sigma * sigma
     gains, probs = cfg.gain_table().as_arrays()
     cut = quad.tail_cutoff_sigmas
-    t_col = t[:, None]
+    t_w = np.asarray(t, dtype=float)[..., None]
     blockage_weights = not flags.use_assumption2
+    u, wt = relative_template(*w_rule)
+
+    def integral(w, pdf, **branch):
+        kern = _kernel_grid(t_w, w, gains, probs, ch, **branch)
+        return np.einsum("...w,...w->...", kern, pdf)
 
     if flags.use_assumption1:
-        w, wt = relative_template(_R_FRACS, _R_ORDER)
         hi = (cut + 5.0) * sigma
-        w = w * hi
-        pdf = rayleigh_pdf(w, 2.0 * sigma * sigma) * wt * hi
-        kern = _kernel_grid(t_col, w[None, :], gains, probs, ch,
-                            include_nlos=blockage_weights,
-                            blockage_weights=blockage_weights)
-        return kern @ pdf
+        w = u * hi
+        pdf = rayleigh_pdf(w, 2.0 * var) * wt * hi
+        return integral(w, pdf, include_nlos=blockage_weights,
+                        blockage_weights=blockage_weights)
 
+    v_w = np.asarray(v, dtype=float)[..., None]
+    hi = v_w + cut * sigma
+    w = hi * u
+    pdf = rician_pdf(w, v_w, var) * (hi * wt)
     if model is AssociationModel.UNIFORM:
-        w, wt = relative_template(_R_FRACS, _R_ORDER)
-        hi = v + cut * sigma
-        w = w * hi
-        pdf = rician_pdf(w, v, sigma * sigma) * wt * hi
-        kern = _kernel_grid(t_col, w[None, :], gains, probs, ch,
-                            include_nlos=blockage_weights,
-                            blockage_weights=blockage_weights)
-        return kern @ pdf
+        return integral(w, pdf, include_nlos=blockage_weights,
+                        blockage_weights=blockage_weights)
 
-    norm = marcum_q1(v / sigma, r_serving / sigma)
+    r_w = np.asarray(r_serving, dtype=float)[..., None]
+    norm = marcum_q1(v_w[..., 0] / sigma, r_w[..., 0] / sigma)
     u2, wt2 = relative_template(_W2_FRACS, _W2_ORDER)
-    hi = v + cut * sigma
-    span = max(hi - r_serving, sigma * 1e-9)
-    w = r_serving + span * u2
-    pdf = rician_pdf(w, v, sigma * sigma) * wt2 * span
-
+    span = np.maximum(hi - r_w, sigma * 1e-9)
+    w2 = r_w + span * u2
+    pdf2 = rician_pdf(w2, v_w, var) * span * wt2
     if model is AssociationModel.CLOSEST:
-        kern = _kernel_grid(t_col, w[None, :], gains, probs, ch)
-        return (kern @ pdf) / norm
-
+        return integral(w2, pdf2) / norm
     # nearest-unblocked: truncated LOS integral plus untruncated NLOS integral
-    kern_los_part = _kernel_grid(t_col, w[None, :], gains, probs, ch,
-                                 include_nlos=False)
-    part_a = (kern_los_part @ pdf) / norm
-    wu, wtu = relative_template(_R_FRACS, _R_ORDER)
-    w_full = wu * hi
-    pdf_full = rician_pdf(w_full, v, sigma * sigma) * wtu * hi
-    kern_nlos_part = _kernel_grid(t_col, w_full[None, :], gains, probs, ch,
-                                  include_los=False)
-    part_b = kern_nlos_part @ pdf_full
-    return part_a + part_b
+    return integral(w2, pdf2, include_nlos=False) / norm + integral(w, pdf, include_los=False)
 
 
 def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
@@ -448,9 +449,9 @@ def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
         return 1.0
     if s == 0.0:
         return 1.0
-    j = _intra_exponent(model, np.array([n * s], dtype=float), v, r_serving,
-                        flags, cfg, quad)
-    return float(np.exp(-(cfg.mean_active - 1.0) * j[0]))
+    j = _intra_exponent(model, float(n * s), v, r_serving, flags, cfg, quad,
+                        (_R_FRACS, _R_ORDER))
+    return float(np.exp(-(cfg.mean_active - 1.0) * j))
 
 
 # ---------------------------------------------------------------------------
@@ -499,178 +500,73 @@ def _validate_coverage_args(model, gamma_th, flags, cfg):
                              "fading shapes <= 10")
 
 
-def _serving_weighted_cdf_rows(r: np.ndarray, v: float, rate: float,
-                               sigma: float) -> np.ndarray:
-    """Cumulative of exp(-rate*t)*Rician(t; v, sigma^2) at the sorted nodes
-    of one row, by per-segment Gauss-Legendre."""
-    u6, w6 = gl_nodes(6)
-    prev = np.concatenate([[0.0], r[:-1]])
-    width = r - prev
-    nodes = prev[:, None] + width[:, None] * u6[None, :]
-    vals = np.exp(-rate * nodes) * rician_pdf(nodes, v, sigma * sigma)
-    seg = np.sum(vals * w6[None, :], axis=1) * width
-    return np.cumsum(seg)
-
-
-def _coverage_exact(model: AssociationModel, gamma_th: float, flags: CoverageFlags,
-                    cfg: NetworkConfig, quad: QuadratureSpec) -> float:
-    """Double integral over (serving distance, cluster-center distance)."""
-    ch = cfg.channel
-    sigma = cfg.scatter_std
-    m = cfg.cluster_tx_count
-    sbar = cfg.mean_active
-    gains, probs = cfg.gain_table().as_arrays()
-    cut = quad.tail_cutoff_sigmas
-    include_inter = not flags.use_assumption2
-    include_noise = not flags.use_assumption2
-    include_nlos_branch = not flags.use_assumption2 and model is not AssociationModel.CLOSEST_LOS
-    branches = _branches(gamma_th, cfg, include_nlos_branch)
-    coefs = np.array([br.coef for br in branches])
-    t_coefs = np.array([br.t_coef for br in branches])
-    alphas = np.array([br.alpha for br in branches])
-    los_mask = np.array([br.is_los for br in branches])
-
-    table = _inter_table(_inter_table_key(cfg), quad) if include_inter else None
-
-    v_edges = np.asarray(_V_EDGE_SIGMAS) * (sigma * cut / 12.0)
-    v_nodes, v_wts = relative_template(tuple(v_edges), _V_ORDER)
-    u_r, w_r = relative_template(_R_FRACS, _R_ORDER)
-    u_w, w_w = relative_template(_W_FRACS, _W_ORDER)
-    u_w2, w_w2 = relative_template(_W2_FRACS, _W2_ORDER)
-
-    total = 0.0
-    for c0 in range(0, v_nodes.size, _V_CHUNK):
-        v = v_nodes[c0:c0 + _V_CHUNK]
-        wv = v_wts[c0:c0 + _V_CHUNK]
-        nv = v.size
-        rhi = v + cut * sigma
-        r = rhi[:, None] * u_r[None, :]                       # (nv, nr)
-        wr = rhi[:, None] * w_r[None, :]
-        t = t_coefs[:, None, None] * r[None, :, :] ** alphas[:, None, None]
-
-        # serving density
-        if model is AssociationModel.UNIFORM:
-            f_serv = rician_pdf(r, v[:, None], sigma * sigma)
-        elif model is AssociationModel.CLOSEST:
-            qm = marcum_q1(v[:, None] / sigma, r / sigma)
-            f_serv = m * qm ** (m - 1) * rician_pdf(r, v[:, None], sigma * sigma)
-        else:
-            cdf = np.stack([
-                _serving_weighted_cdf_rows(r[i], float(v[i]), ch.blockage_rate, sigma)
-                for i in range(nv)
-            ])
-            f_serv = m * (1.0 - cdf) ** (m - 1) \
-                * np.exp(-ch.blockage_rate * r) * rician_pdf(r, v[:, None], sigma * sigma)
-
-        # intra-cluster Laplace exponent J
-        if sbar <= 1.0:
-            j = np.zeros(t.shape)
-        elif model is AssociationModel.UNIFORM:
-            w = rhi[:, None] * u_w[None, :]                    # (nv, nw)
-            pdf_w = rician_pdf(w, v[:, None], sigma * sigma) * (rhi[:, None] * w_w[None, :])
-            kern = _kernel_grid(t[..., None], w[None, :, None, :], gains, probs, ch,
-                                include_nlos=not flags.use_assumption2,
-                                blockage_weights=not flags.use_assumption2)
-            j = np.einsum("bvrw,vw->bvr", kern, pdf_w)
-        else:
-            qm_norm = marcum_q1(v[:, None] / sigma, r / sigma)
-            span = rhi[:, None] - r
-            w2 = r[..., None] + span[..., None] * u_w2          # (nv, nr, nw2)
-            pdf_w2 = rician_pdf(w2, v[:, None, None], sigma * sigma) \
-                * span[..., None] * w_w2
-            if model is AssociationModel.CLOSEST:
-                kern = _kernel_grid(t[..., None], w2[None, ...], gains, probs, ch)
-                j = np.einsum("bvrw,vrw->bvr", kern, pdf_w2) / qm_norm[None, :, :]
-            else:
-                kern = _kernel_grid(t[..., None], w2[None, ...], gains, probs, ch,
-                                    include_nlos=False)
-                j = np.einsum("bvrw,vrw->bvr", kern, pdf_w2) / qm_norm[None, :, :]
-                w = rhi[:, None] * u_w[None, :]
-                pdf_w = rician_pdf(w, v[:, None], sigma * sigma) * (rhi[:, None] * w_w[None, :])
-                kern_n = _kernel_grid(t[..., None], w[None, :, None, :], gains, probs, ch,
-                                      include_los=False)
-                j = j + np.einsum("bvrw,vw->bvr", kern_n, pdf_w)
-        l_intra = np.exp(-(sbar - 1.0) * j)
-
-        factor = l_intra
-        if include_inter:
-            factor = factor * np.exp(-table.exponent(t))
-        if include_noise and cfg.noise_power > 0.0:
-            factor = factor * np.exp(-t * cfg.noise_power)
-
-        # serving-link blockage weights per branch
-        if model is AssociationModel.CLOSEST_LOS or flags.use_assumption2:
-            weight = np.ones((len(branches), nv, r.shape[1]))
-        else:
-            p_los = np.exp(-ch.blockage_rate * r)
-            weight = np.where(los_mask[:, None, None], p_los[None, :, :],
-                              1.0 - p_los[None, :, :])
-
-        integrand = np.einsum("b,bvr->vr", coefs, weight * factor)
-        inner = np.sum(integrand * f_serv * wr, axis=1)
-        total += float(np.sum(inner * rayleigh_pdf(v, sigma * sigma) * wv))
-    return total
-
-
-def _coverage_approx(model: AssociationModel, gamma_th: float, flags: CoverageFlags,
-                     cfg: NetworkConfig, quad: QuadratureSpec) -> float:
-    """Single integral with the unconditioned serving-distance densities."""
-    ch = cfg.channel
-    sigma = cfg.scatter_std
-    sbar = cfg.mean_active
-    include_inter = not flags.use_assumption2
-    include_noise = not flags.use_assumption2
-    include_nlos_branch = not flags.use_assumption2 and model is not AssociationModel.CLOSEST_LOS
-    branches = _branches(gamma_th, cfg, include_nlos_branch)
-    coefs = np.array([br.coef for br in branches])
-    t_coefs = np.array([br.t_coef for br in branches])
-    alphas = np.array([br.alpha for br in branches])
-    los_mask = np.array([br.is_los for br in branches])
-
-    table = _inter_table(_inter_table_key(cfg), quad) if include_inter else None
-
-    hi = (quad.tail_cutoff_sigmas + 5.0) * sigma
-    u_r, w_r = relative_template(_R_FRACS, _R_ORDER)
-    r = u_r * hi
-    wr = w_r * hi
-    f_serv = serving_distance_pdf_approx(model, r, cfg)
-    t = t_coefs[:, None] * r[None, :] ** alphas[:, None]
-
-    if sbar <= 1.0:
-        j = np.zeros(t.shape)
-    else:
-        flat = _intra_exponent(model, t.ravel(), 0.0, None,
-                               CoverageFlags(use_assumption1=True,
-                                             use_assumption2=flags.use_assumption2),
-                               cfg, quad)
-        j = flat.reshape(t.shape)
-    factor = np.exp(-(sbar - 1.0) * j)
-    if include_inter:
-        factor = factor * np.exp(-table.exponent(t))
-    if include_noise and cfg.noise_power > 0.0:
-        factor = factor * np.exp(-t * cfg.noise_power)
-
-    if model is AssociationModel.CLOSEST_LOS or flags.use_assumption2:
-        weight = np.ones((len(branches), r.size))
-    else:
-        p_los = np.exp(-ch.blockage_rate * r)
-        weight = np.where(los_mask[:, None], p_los[None, :], 1.0 - p_los[None, :])
-
-    integrand = np.einsum("b,br->r", coefs, weight * factor)
-    return float(np.sum(integrand * f_serv * wr))
-
-
 def _coverage_raw(model: AssociationModel, gamma_th: float,
                   flags: CoverageFlags, cfg: NetworkConfig,
                   quad: QuadratureSpec) -> float:
+    """Alternating branch sum of the bound, integrated over the serving
+    distance r and, unless ``use_assumption1`` drops the conditioning, the
+    cluster-center distance v (a single v node otherwise)."""
     _validate_coverage_args(model, gamma_th, flags, cfg)
+    ch = cfg.channel
+    sigma = cfg.scatter_std
+    sbar = cfg.mean_active
+    cut = quad.tail_cutoff_sigmas
+    no_assumption2 = not flags.use_assumption2
+    branches = _branches(gamma_th, cfg,
+                         no_assumption2 and model is not AssociationModel.CLOSEST_LOS)
+    coefs = np.array([br.coef for br in branches])
+    t_coefs = np.array([br.t_coef for br in branches])[:, None, None]
+    alphas = np.array([br.alpha for br in branches])[:, None, None]
+    los_mask = np.array([br.is_los for br in branches])[:, None, None]
+
+    table = _inter_table(_inter_table_key(cfg), quad) if no_assumption2 else None
+
+    # distance law: center-distance nodes, their weights times the center
+    # density, the serving-distance limit per node, the untruncated w-rule
     if flags.use_assumption1:
-        raw = _coverage_approx(model, gamma_th, flags, cfg, quad)
+        v_nodes, v_wts = np.zeros(1), np.ones(1)
+        r_hi = np.full(1, (cut + 5.0) * sigma)
+        w_rule = (_R_FRACS, _R_ORDER)
     else:
-        raw = _coverage_exact(model, gamma_th, flags, cfg, quad)
-    if not math.isfinite(raw):
-        raise NumericalError("coverage integral did not converge", value=raw)
-    return raw
+        v_edges = np.asarray(_V_EDGE_SIGMAS) * (sigma * cut / 12.0)
+        v_nodes, v_wts = relative_template(tuple(v_edges), _V_ORDER)
+        v_wts = v_wts * rayleigh_pdf(v_nodes, sigma * sigma)
+        r_hi = v_nodes + cut * sigma
+        w_rule = (_W_FRACS, _W_ORDER)
+    u_r, w_r = relative_template(_R_FRACS, _R_ORDER)
+
+    total = 0.0
+    for c0 in range(0, v_nodes.size, _V_CHUNK):
+        v = v_nodes[c0:c0 + _V_CHUNK, None]
+        rhi = r_hi[c0:c0 + _V_CHUNK, None]
+        r = rhi * u_r                                          # (nv, nr)
+        wr = rhi * w_r
+        if flags.use_assumption1:
+            f_serv = serving_distance_pdf_approx(model, r, cfg)
+        else:
+            f_serv = serving_distance_pdf(model, r, v, cfg)
+        t = t_coefs * r ** alphas                              # (branch, nv, nr)
+
+        if sbar <= 1.0:
+            factor = np.ones(t.shape)
+        else:
+            factor = np.exp(-(sbar - 1.0) * _intra_exponent(model, t, v, r, flags,
+                                                            cfg, quad, w_rule))
+        if table is not None:
+            factor = factor * np.exp(-table.exponent(t))
+        if no_assumption2 and cfg.noise_power > 0.0:
+            factor = factor * np.exp(-t * cfg.noise_power)
+        # serving-link blockage weights per branch
+        if no_assumption2 and model is not AssociationModel.CLOSEST_LOS:
+            p_los = np.exp(-ch.blockage_rate * r)
+            factor = np.where(los_mask, p_los, 1.0 - p_los) * factor
+
+        integrand = np.einsum("b,bvr->vr", coefs, factor)
+        inner = np.sum(integrand * f_serv * wr, axis=1)
+        total += float(np.sum(inner * v_wts[c0:c0 + _V_CHUNK]))
+    if not math.isfinite(total):
+        raise NumericalError("coverage integral did not converge", value=total)
+    return total
 
 
 def coverage(model: AssociationModel, gamma_th: float,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import analytical, montecarlo
 from .analytical import CoverageFlags
-from .config import default_config, parse_config
+from .config import apply_override, default_config, parse_config
 from .errors import ConfigError, NumericalError, UsageError
 from .model import AssociationModel
 from .sweep import figure_specs, parse_sweep_spec, run_sweep
@@ -36,14 +36,10 @@ def _add_common(parser: argparse.ArgumentParser):
 
 def _load_config(args):
     cfg = parse_config(args.config) if args.config else default_config()
-    if getattr(args, "gamma_db", None) is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, gamma_th_db=args.gamma_db)
-    if getattr(args, "mean_active", None) is not None:
-        cfg = cfg.with_mean_active(args.mean_active)
-    if getattr(args, "scatter_std", None) is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, scatter_std=args.scatter_std)
+    for key, flag in (("gamma_th_db", "gamma_db"), ("mean_active", "mean_active"),
+                      ("scatter_std", "scatter_std")):
+        if getattr(args, flag, None) is not None:
+            cfg = apply_override(cfg, key, getattr(args, flag))
     return cfg
 
 

@@ -197,6 +197,8 @@ def parse_config(path: str | Path) -> NetworkConfig:
             values[key] = float(val)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: {key} needs a number, got {val!r}") from None
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
     return _assemble(values)
 
 
@@ -204,6 +206,8 @@ def apply_override(cfg: NetworkConfig, key: str, value: float) -> NetworkConfig:
     """Re-derive a config with one user-unit key changed (sweep axes and
     figure-preset overrides)."""
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
     try:
         if key == "mean_active":
             return replace(cfg, mean_active=value)

@@ -267,13 +267,15 @@ def cluster_center_distance_pdf(v, cfg: NetworkConfig):
     return rayleigh_pdf(v, cfg.scatter_std**2)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=512)
 def _los_weighted_cdf(v: float, sigma: float, rate: float) -> CumulativeQuadrature:
     """Cached cumulative integral of exp(-rate*t) * Rician(t; v, sigma^2).
 
     Sits inside the nearest-unblocked-transmitter density, which in turn sits
     inside double integrals; caching the panel prefix sums makes repeated
-    evaluation cheap.  Purely functional, so concurrent builds are safe.
+    evaluation cheap.  The exact coverage bound asks for 120 center
+    distances per configuration, so the cache holds four configurations.
+    Purely functional, so concurrent builds are safe.
     """
     var = sigma * sigma
     hi = v + 14.0 * sigma
@@ -296,30 +298,36 @@ def serving_distance_pdf(model: AssociationModel, r, v, cfg: NetworkConfig):
     Uniform selection keeps the plain Rician law.  Nearest selection weights
     it by the probability that the other M-1 candidates lie farther out.
     Nearest-unblocked selection is a subdensity: its total mass is the
-    probability that at least one candidate is unblocked.
+    probability that at least one candidate is unblocked.  ``r`` and ``v``
+    broadcast against each other.
     """
     r_arr = np.asarray(r, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
     if np.any(r_arr < 0.0):
         raise ValueError("r must be >= 0")
-    if v < 0.0:
+    if np.any(v_arr < 0.0):
         raise ValueError("v must be >= 0")
     sigma = cfg.scatter_std
     var = sigma * sigma
     m = cfg.cluster_tx_count
 
     if model is AssociationModel.UNIFORM:
-        out = rician_pdf(r_arr, v, var)
+        out = rician_pdf(r_arr, v_arr, var)
     elif model is AssociationModel.CLOSEST:
-        tail = marcum_q1(v / sigma, r_arr / sigma)
-        out = m * tail ** (m - 1) * rician_pdf(r_arr, v, var)
+        tail = marcum_q1(v_arr / sigma, r_arr / sigma)
+        out = m * tail ** (m - 1) * rician_pdf(r_arr, v_arr, var)
     elif model is AssociationModel.CLOSEST_LOS:
-        cdf = _los_weighted_cdf(float(v), sigma, cfg.channel.blockage_rate)
-        remaining = 1.0 - cdf.value(r_arr)
-        weighted = np.exp(-cfg.channel.blockage_rate * r_arr) * rician_pdf(r_arr, v, var)
-        out = m * remaining ** (m - 1) * weighted
+        rate = cfg.channel.blockage_rate
+        r_b, v_b = np.broadcast_arrays(r_arr, v_arr)
+        cdf = np.empty(r_b.shape)
+        for v_k in np.unique(v_b):
+            at = v_b == v_k
+            cdf[at] = _los_weighted_cdf(float(v_k), sigma, rate).value(r_b[at])
+        weighted = np.exp(-rate * r_arr) * rician_pdf(r_arr, v_arr, var)
+        out = m * (1.0 - cdf) ** (m - 1) * weighted
     else:  # pragma: no cover - exhaustive enum
         raise UsageError(f"unknown association model {model}")
-    return float(out) if np.ndim(r) == 0 else out
+    return float(out) if np.ndim(r) == 0 and np.ndim(v) == 0 else out
 
 
 def interferer_distance_pdf(model: AssociationModel, s, v, r_serving, cfg: NetworkConfig,

@@ -14,6 +14,8 @@ matter how calls are scheduled or how many worker threads drive a sweep.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -39,6 +41,9 @@ __all__ = [
 
 _BLOCK = 1024
 _MASK64 = (1 << 64) - 1
+# blocks are sampled on one pool shared by the whole process, which also
+# bounds the memory held by blocks in flight however many threads call in
+_POOL = ThreadPoolExecutor(min(2, os.cpu_count() or 1), thread_name_prefix="mc-block")
 
 
 @dataclass(frozen=True)
@@ -105,14 +110,16 @@ def _philox(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=((int(seed) & _MASK64) << 64) | (block & _MASK64)))
 
 
-def _blocks(n_trials: int):
-    done = 0
-    index = 0
-    while done < n_trials:
-        size = min(_BLOCK, n_trials - done)
-        yield index, size
-        done += size
-        index += 1
+def _map_blocks(fn, seed: int, n_trials: int) -> list:
+    """``fn(rng, size)`` for every block of ``n_trials``, in block order.
+
+    Each block draws only from its own Philox stream, so the results do not
+    depend on how the pool schedules the blocks.
+    """
+    def run(index: int):
+        return fn(_philox(seed, index), min(_BLOCK, n_trials - index * _BLOCK))
+
+    return list(_POOL.map(run, range(-(-n_trials // _BLOCK))))
 
 
 def _check_window(cfg: NetworkConfig):
@@ -132,8 +139,22 @@ def _los_flags(d: np.ndarray, u: np.ndarray, blockage: BlockageMode,
     return u < np.exp(-rate * d)
 
 
+def _gain_law(table) -> tuple[np.ndarray, np.ndarray]:
+    """Interferer gain outcomes and their cumulative probabilities."""
+    gains, probs = table.as_arrays()
+    cum_probs = np.cumsum(probs)
+    cum_probs[-1] = 1.0
+    return gains, cum_probs
+
+
 def _gain_draw(u: np.ndarray, cum_probs: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return gains[np.searchsorted(cum_probs, u)]
+
+
+def _link_loss(d: np.ndarray, ch) -> tuple[np.ndarray, np.ndarray]:
+    """LOS and NLOS path loss, with distances clamped to the 1 m reference."""
+    dc = np.maximum(d, 1.0)
+    return ch.intercept_los * dc ** (-ch.alpha_los), ch.intercept_nlos * dc ** (-ch.alpha_nlos)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +165,7 @@ def _gain_draw(u: np.ndarray, cum_probs: np.ndarray, gains: np.ndarray) -> np.nd
 class _FieldBlock:
     """Inter-cluster devices of one block, flat across trials."""
 
-    __slots__ = ("trial", "d", "u_los", "power_los", "power_nlos", "size")
+    __slots__ = ("trial", "d", "u_los", "counts", "power_los", "power_nlos", "size")
 
     def __init__(self, rng, cfg: NetworkConfig, n: int, gains, cum_probs):
         ch = cfg.channel
@@ -155,20 +176,24 @@ class _FieldBlock:
         centers = rng.uniform(-half, half, (total_c, 2))
         counts = np.minimum(rng.poisson(cfg.mean_active, total_c), cfg.cluster_tx_count)
         total_d = int(counts.sum())
-        offsets = rng.normal(0.0, cfg.scatter_std, (total_d, 2))
-        pos = np.repeat(centers, counts, axis=0) + offsets
+        # device-sized temporaries are released as soon as they are used:
+        # a block keeps five arrays of its device count and peaks near seven
+        pos = rng.normal(0.0, cfg.scatter_std, (total_d, 2))
+        pos += np.repeat(centers, counts, axis=0)
         d = np.hypot(pos[:, 0], pos[:, 1])
-        u_los = rng.random(total_d)
+        del pos
+        loss_los, loss_nlos = _link_loss(d, ch)
+        self.u_los = rng.random(total_d)
         gain = _gain_draw(rng.random(total_d), cum_probs, gains)
-        g_los = rng.gamma(ch.nakagami_los, 1.0 / ch.nakagami_los, total_d)
-        g_nlos = rng.gamma(ch.nakagami_nlos, 1.0 / ch.nakagami_nlos, total_d)
-        trial_of_cluster = np.repeat(np.arange(n), n_clusters)
-        dc = np.maximum(d, 1.0)
-        self.trial = np.repeat(trial_of_cluster, counts)
+        self.power_los = gain * rng.gamma(ch.nakagami_los, 1.0 / ch.nakagami_los, total_d) \
+            * loss_los
+        del loss_los
+        self.power_nlos = gain * rng.gamma(ch.nakagami_nlos, 1.0 / ch.nakagami_nlos, total_d) \
+            * loss_nlos
+        del loss_nlos, gain
+        self.trial = np.repeat(np.repeat(np.arange(n), n_clusters), counts)
         self.d = d
-        self.u_los = u_los
-        self.power_los = gain * g_los * (ch.intercept_los * dc ** (-ch.alpha_los))
-        self.power_nlos = gain * g_nlos * (ch.intercept_nlos * dc ** (-ch.alpha_nlos))
+        self.counts = counts
         self.size = n
 
     def interference(self, blockage: BlockageMode, rate: float,
@@ -207,10 +232,10 @@ class _TypicalBlock:
         perm = np.argsort(scores, axis=1)
         self.rank = np.empty_like(perm)
         np.put_along_axis(self.rank, perm, np.broadcast_to(np.arange(m), (n, m)).copy(), axis=1)
-        dc = np.maximum(d, 1.0)
+        loss_los, loss_nlos = _link_loss(d, ch)
         self.d = d
-        self.power_los = gain * self.fading_los * (ch.intercept_los * dc ** (-ch.alpha_los))
-        self.power_nlos = gain * self.fading_nlos * (ch.intercept_nlos * dc ** (-ch.alpha_nlos))
+        self.power_los = gain * self.fading_los * loss_los
+        self.power_nlos = gain * self.fading_nlos * loss_nlos
         self.size = n
 
     def flags(self, blockage: BlockageMode, rate: float, force_los: bool) -> np.ndarray:
@@ -230,13 +255,19 @@ class _TypicalBlock:
             failed = ~flag.any(axis=1)
         return idx, failed
 
-    def intra_interference(self, serving_idx: np.ndarray, flag: np.ndarray,
-                           include_los: bool, include_nlos: bool) -> np.ndarray:
+    def intra_selection(self, serving_idx: np.ndarray) -> np.ndarray:
+        """Mask of the active interferers: the first n_intra non-serving
+        candidates in the random order."""
         rows = np.arange(self.size)
         serving_rank = self.rank[rows, serving_idx]
         threshold = self.n_intra + (serving_rank < self.n_intra)
         sel = self.rank < threshold[:, None]
         sel[rows, serving_idx] = False
+        return sel
+
+    def intra_interference(self, serving_idx: np.ndarray, flag: np.ndarray,
+                           include_los: bool, include_nlos: bool) -> np.ndarray:
+        sel = self.intra_selection(serving_idx)
         total = np.zeros(self.size)
         if include_los:
             total += np.sum(self.power_los * (sel & flag), axis=1)
@@ -246,15 +277,11 @@ class _TypicalBlock:
 
     def serving_power(self, serving_idx: np.ndarray, flag: np.ndarray,
                       failed: np.ndarray, cfg: NetworkConfig, boresight: float) -> np.ndarray:
-        ch = cfg.channel
         rows = np.arange(self.size)
-        r0 = self.d[rows, serving_idx]
-        rc = np.maximum(r0, 1.0)
         s_flag = flag[rows, serving_idx]
         fading = np.where(s_flag, self.fading_los[rows, serving_idx],
                           self.fading_nlos[rows, serving_idx])
-        loss = np.where(s_flag, ch.intercept_los * rc ** (-ch.alpha_los),
-                        ch.intercept_nlos * rc ** (-ch.alpha_nlos))
+        loss = np.where(s_flag, *_link_loss(self.d[rows, serving_idx], cfg.channel))
         power = boresight * fading * loss
         power[failed] = 0.0
         return power
@@ -265,6 +292,31 @@ class _TypicalBlock:
 # ---------------------------------------------------------------------------
 
 Case = tuple[AssociationModel, SinrOptions, BlockageMode]
+
+
+def _sinr_terms(cfg: NetworkConfig, boresight: float, options: SinrOptions,
+                typical: _TypicalBlock, serving_idx: np.ndarray, failed: np.ndarray,
+                flag: np.ndarray, field_terms) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial serving power and SINR denominator of one case.
+
+    ``field_terms`` is the (LOS, NLOS) inter-cluster interference pair; it is
+    read only when the options include inter-cluster interference.
+    """
+    num = typical.serving_power(serving_idx, flag, failed, cfg, boresight)
+    den = np.zeros(typical.size)
+    if options.include_noise:
+        den += cfg.noise_power
+    if options.include_intra:
+        den += typical.intra_interference(
+            serving_idx, flag,
+            options.include_los_interference, options.include_nlos_interference)
+    if options.include_inter:
+        i_los, i_nlos = field_terms
+        if options.include_los_interference:
+            den += i_los
+        if options.include_nlos_interference:
+            den += i_nlos
+    return num, den
 
 
 def estimate_coverage_many(cfg: NetworkConfig, gamma_th: float, cases: Sequence[Case],
@@ -284,18 +336,14 @@ def estimate_coverage_many(cfg: NetworkConfig, gamma_th: float, cases: Sequence[
         options.validate()
 
     table = cfg.gain_table()
-    gains, probs = table.as_arrays()
-    cum_probs = np.cumsum(probs)
-    cum_probs[-1] = 1.0
+    gains, cum_probs = _gain_law(table)
     rate = cfg.channel.blockage_rate
     need_inter = any(options.include_inter for _, options, _ in cases)
 
-    successes = np.zeros(len(cases), dtype=np.int64)
-    for block, size in _blocks(n_trials):
-        rng = _philox(seed, block)
+    def block_successes(rng, size: int) -> np.ndarray:
         typical = _TypicalBlock(rng, cfg, size, gains, cum_probs)
         field = _FieldBlock(rng, cfg, size, gains, cum_probs) if need_inter else None
-
+        hits = np.zeros(len(cases), dtype=np.int64)
         flag_cache: dict[tuple, np.ndarray] = {}
         field_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         serving_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -308,25 +356,15 @@ def estimate_coverage_many(cfg: NetworkConfig, gamma_th: float, cases: Sequence[
             if skey not in serving_cache:
                 serving_cache[skey] = typical.serving(model, flag)
             serving_idx, failed = serving_cache[skey]
+            if options.include_inter and bkey not in field_cache:
+                field_cache[bkey] = field.interference(blockage, rate, options.force_los)
 
-            num = typical.serving_power(serving_idx, flag, failed, cfg, table.boresight_gain)
-            den = np.zeros(size)
-            if options.include_noise:
-                den += cfg.noise_power
-            if options.include_intra:
-                den += typical.intra_interference(
-                    serving_idx, flag,
-                    options.include_los_interference, options.include_nlos_interference)
-            if options.include_inter:
-                if bkey not in field_cache:
-                    field_cache[bkey] = field.interference(blockage, rate, options.force_los)
-                i_los, i_nlos = field_cache[bkey]
-                if options.include_los_interference:
-                    den += i_los
-                if options.include_nlos_interference:
-                    den += i_nlos
-            successes[ci] += int(np.count_nonzero(num > gamma_th * den))
+            num, den = _sinr_terms(cfg, table.boresight_gain, options, typical,
+                                   serving_idx, failed, flag, field_cache.get(bkey))
+            hits[ci] = np.count_nonzero(num > gamma_th * den)
+        return hits
 
+    successes = np.sum(_map_blocks(block_successes, seed, n_trials), axis=0)
     results = []
     for ci in range(len(cases)):
         p = successes[ci] / n_trials
@@ -429,10 +467,7 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
     sn = (s_arr * n_arr).ravel()
 
     ch = cfg.channel
-    table = cfg.gain_table()
-    gains, probs = table.as_arrays()
-    cum_probs = np.cumsum(probs)
-    cum_probs[-1] = 1.0
+    gains, cum_probs = _gain_law(cfg.gain_table())
 
     if which == "intra":
         if v is None:
@@ -442,10 +477,7 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
     else:
         _check_window(cfg)
 
-    total = np.zeros(sn.size)
-    total_sq = np.zeros(sn.size)
-    for block, size in _blocks(n_trials):
-        rng = _philox(seed, block)
+    def block_sums(rng, size: int) -> tuple[np.ndarray, np.ndarray]:
         if which == "intra":
             m = cfg.cluster_tx_count - 1
             counts = np.minimum(rng.poisson(max(cfg.mean_active - 1.0, 0.0), size), m)
@@ -454,10 +486,8 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
             gain = _gain_draw(rng.random((size, m)), cum_probs, gains)
             g_los = rng.gamma(ch.nakagami_los, 1.0 / ch.nakagami_los, (size, m))
             g_nlos = rng.gamma(ch.nakagami_nlos, 1.0 / ch.nakagami_nlos, (size, m))
-            dc = np.maximum(d, 1.0)
-            power = np.where(flag,
-                             gain * g_los * (ch.intercept_los * dc ** (-ch.alpha_los)),
-                             gain * g_nlos * (ch.intercept_nlos * dc ** (-ch.alpha_nlos)))
+            loss_los, loss_nlos = _link_loss(d, ch)
+            power = np.where(flag, gain * g_los * loss_los, gain * g_nlos * loss_nlos)
             active = np.arange(m) < counts[:, None]
             interference = np.sum(power * active, axis=1)
         else:
@@ -465,8 +495,13 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
             i_los, i_nlos = field.interference(blockage, ch.blockage_rate, False)
             interference = i_los + i_nlos
         vals = np.exp(-sn[:, None] * interference[None, :])
-        total += vals.sum(axis=1)
-        total_sq += (vals * vals).sum(axis=1)
+        return vals.sum(axis=1), (vals * vals).sum(axis=1)
+
+    total = np.zeros(sn.size)
+    total_sq = np.zeros(sn.size)
+    for block_total, block_sq in _map_blocks(block_sums, seed, n_trials):
+        total += block_total
+        total_sq += block_sq
 
     mean = total / n_trials
     if n_trials > 1:
@@ -486,48 +521,49 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class NetworkRealization:
     """One sampled world: the receiver's cluster plus the interfering field.
 
-    Candidate arrays cover all M possible transmitters of the receiver's
-    cluster; ``intra_indices`` lists which of them actively interfere.  Both
-    fading draws are kept per link so interference toggles (including
+    It is trial 0 of a one-trial block of each block sampler.  Candidate
+    arrays cover all M possible transmitters of the receiver's cluster;
+    ``intra_indices`` lists which of them actively interfere (on a failed
+    association, the first ``n_intra`` candidates of the random order).
+    Both fading draws are kept per link so interference toggles (including
     ``force_los``) can be applied after the fact without resampling.
     """
 
-    typical_center: np.ndarray
-    candidate_offsets: np.ndarray
-    candidate_los: np.ndarray
-    candidate_gains: np.ndarray
-    candidate_fading_los: np.ndarray
-    candidate_fading_nlos: np.ndarray
-    serving_index: int
-    association_failed: bool
-    intra_indices: np.ndarray
-    field_centers: np.ndarray
-    field_counts: np.ndarray
-    field_offsets: np.ndarray
-    field_los: np.ndarray
-    field_gains: np.ndarray
-    field_fading_los: np.ndarray
-    field_fading_nlos: np.ndarray
+    def __init__(self, cfg: NetworkConfig, model: AssociationModel,
+                 blockage: BlockageMode, typical: _TypicalBlock, field: _FieldBlock):
+        rate = cfg.channel.blockage_rate
+        flag = typical.flags(blockage, rate, False)
+        idx, failed = typical.serving(model, flag)
+        self._blockage = blockage
+        self._typical = typical
+        self._field = field
+        self.association_failed = bool(failed[0])
+        self.serving_index = -1 if self.association_failed else int(idx[0])
+        if self.association_failed:
+            self.intra_indices = np.flatnonzero(typical.rank[0] < typical.n_intra[0])
+        else:
+            self.intra_indices = np.flatnonzero(typical.intra_selection(idx)[0])
+        self.candidate_los = flag[0]
+        self.candidate_fading_los = typical.fading_los[0]
+        self.candidate_fading_nlos = typical.fading_nlos[0]
+        self.field_los = _los_flags(field.d, field.u_los, blockage, rate, False)
+        self.field_counts = field.counts
 
     def candidate_distances(self) -> np.ndarray:
-        pos = self.typical_center[None, :] + self.candidate_offsets
-        return np.hypot(pos[:, 0], pos[:, 1])
+        return self._typical.d[0]
 
     def field_distances(self) -> np.ndarray:
-        centers = np.repeat(self.field_centers, self.field_counts, axis=0)
-        pos = centers + self.field_offsets
-        return np.hypot(pos[:, 0], pos[:, 1])
+        return self._field.d
 
     def check_invariants(self, cfg: NetworkConfig):
         m = cfg.cluster_tx_count
         assert self.intra_indices.size <= m - 1
         assert np.all(self.field_counts <= m)
-        assert np.all(np.isfinite(self.candidate_offsets))
-        assert np.all(np.isfinite(self.field_offsets))
+        assert np.all(np.isfinite(self.candidate_distances()))
+        assert np.all(np.isfinite(self.field_distances()))
         if not self.association_failed:
             assert 0 <= self.serving_index < m
 
@@ -539,76 +575,15 @@ def sample_realization(cfg: NetworkConfig, model: AssociationModel,
 
     The receiver sits at the origin; its own cluster center is drawn from
     the Rayleigh law the conditioning implies, and every other cluster comes
-    from the homogeneous parent process on the simulation window.
+    from the homogeneous parent process on the simulation window.  From
+    ``Generator(Philox(key=seed << 64))`` this is exactly trial 0 of the
+    estimators run with ``seed``.
     """
     _check_window(cfg)
-    ch = cfg.channel
-    sigma = cfg.scatter_std
-    m = cfg.cluster_tx_count
-    table = cfg.gain_table()
-    gains, probs = table.as_arrays()
-    cum_probs = np.cumsum(probs)
-    cum_probs[-1] = 1.0
-
-    v = rng.rayleigh(sigma)
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    center = np.array([v * math.cos(ang), v * math.sin(ang)])
-    n_intra = min(int(rng.poisson(max(cfg.mean_active - 1.0, 0.0))), m - 1)
-    offsets = rng.normal(0.0, sigma, (m, 2))
-    d = np.hypot(offsets[:, 0] + center[0], offsets[:, 1] + center[1])
-    u_los = rng.random(m)
-    flag = _los_flags(d, u_los, blockage, ch.blockage_rate, False)
-    scores = rng.random(m)
-    gain = _gain_draw(rng.random(m), cum_probs, gains)
-    fading_los = rng.gamma(ch.nakagami_los, 1.0 / ch.nakagami_los, m)
-    fading_nlos = rng.gamma(ch.nakagami_nlos, 1.0 / ch.nakagami_nlos, m)
-
-    failed = False
-    if model is AssociationModel.UNIFORM:
-        serving = 0
-    elif model is AssociationModel.CLOSEST:
-        serving = int(np.argmin(d))
-    else:
-        if flag.any():
-            serving = int(np.argmin(np.where(flag, d, np.inf)))
-        else:
-            serving = -1
-            failed = True
-    pool = np.argsort(scores)
-    pool = pool[pool != serving] if serving >= 0 else pool
-    intra = np.sort(pool[:n_intra])
-
-    half = cfg.region_half_width
-    n_clusters = int(rng.poisson(cfg.parent_density * (2.0 * half) ** 2))
-    centers = rng.uniform(-half, half, (n_clusters, 2))
-    counts = np.minimum(rng.poisson(cfg.mean_active, n_clusters), m)
-    total_d = int(counts.sum())
-    f_offsets = rng.normal(0.0, sigma, (total_d, 2))
-    f_pos = np.repeat(centers, counts, axis=0) + f_offsets
-    f_d = np.hypot(f_pos[:, 0], f_pos[:, 1])
-    f_flag = _los_flags(f_d, rng.random(total_d), blockage, ch.blockage_rate, False)
-    f_gain = _gain_draw(rng.random(total_d), cum_probs, gains)
-    f_fading_los = rng.gamma(ch.nakagami_los, 1.0 / ch.nakagami_los, total_d)
-    f_fading_nlos = rng.gamma(ch.nakagami_nlos, 1.0 / ch.nakagami_nlos, total_d)
-
-    return NetworkRealization(
-        typical_center=center,
-        candidate_offsets=offsets,
-        candidate_los=flag,
-        candidate_gains=gain,
-        candidate_fading_los=fading_los,
-        candidate_fading_nlos=fading_nlos,
-        serving_index=serving,
-        association_failed=failed,
-        intra_indices=intra,
-        field_centers=centers,
-        field_counts=counts,
-        field_offsets=f_offsets,
-        field_los=f_flag,
-        field_gains=f_gain,
-        field_fading_los=f_fading_los,
-        field_fading_nlos=f_fading_nlos,
-    )
+    gains, cum_probs = _gain_law(cfg.gain_table())
+    typical = _TypicalBlock(rng, cfg, 1, gains, cum_probs)
+    field = _FieldBlock(rng, cfg, 1, gains, cum_probs)
+    return NetworkRealization(cfg, model, blockage, typical, field)
 
 
 def simulate_sinr(realization: NetworkRealization, cfg: NetworkConfig,
@@ -616,46 +591,21 @@ def simulate_sinr(realization: NetworkRealization, cfg: NetworkConfig,
     """Linear SINR of one realization under the given denominator toggles.
 
     Returns 0.0 when the realization recorded an association failure (there
-    is no serving link to receive from).
+    is no serving link to receive from).  ``force_los`` reclassifies the
+    links but keeps the sampled association.
     """
     options.validate()
     if realization.association_failed:
         return 0.0
-    ch = cfg.channel
-    table = cfg.gain_table()
-
-    def link_power(dist, los, gain_val, fad_los, fad_nlos):
-        dc = np.maximum(dist, 1.0)
-        return np.where(los,
-                        gain_val * fad_los * (ch.intercept_los * dc ** (-ch.alpha_los)),
-                        gain_val * fad_nlos * (ch.intercept_nlos * dc ** (-ch.alpha_nlos)))
-
-    d = realization.candidate_distances()
-    los = realization.candidate_los | options.force_los
-    s = realization.serving_index
-    numerator = float(link_power(d[s], los[s], table.boresight_gain,
-                                 realization.candidate_fading_los[s],
-                                 realization.candidate_fading_nlos[s]))
-
-    den = 0.0
-    if options.include_noise:
-        den += cfg.noise_power
-    if options.include_intra and realization.intra_indices.size:
-        idx = realization.intra_indices
-        p = link_power(d[idx], los[idx], realization.candidate_gains[idx],
-                       realization.candidate_fading_los[idx],
-                       realization.candidate_fading_nlos[idx])
-        keep = np.where(los[idx], options.include_los_interference,
-                        options.include_nlos_interference)
-        den += float(np.sum(p * keep))
-    if options.include_inter and realization.field_offsets.shape[0]:
-        fd = realization.field_distances()
-        f_los = realization.field_los | options.force_los
-        p = link_power(fd, f_los, realization.field_gains,
-                       realization.field_fading_los, realization.field_fading_nlos)
-        keep = np.where(f_los, options.include_los_interference,
-                        options.include_nlos_interference)
-        den += float(np.sum(p * keep))
-    if den == 0.0:
+    blockage = realization._blockage
+    rate = cfg.channel.blockage_rate
+    flag = realization._typical.flags(blockage, rate, options.force_los)
+    field_terms = None
+    if options.include_inter:
+        field_terms = realization._field.interference(blockage, rate, options.force_los)
+    num, den = _sinr_terms(cfg, cfg.gain_table().boresight_gain, options, realization._typical,
+                           np.array([realization.serving_index]), np.zeros(1, dtype=bool),
+                           flag, field_terms)
+    if den[0] == 0.0:
         return math.inf
-    return numerator / den
+    return float(num[0] / den[0])

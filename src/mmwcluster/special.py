@@ -26,13 +26,13 @@ _I0_OVERFLOW = 709.0
 
 def _as_checked_array(x, name: str, allow_zero: bool = True) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     if allow_zero:
-        if np.any(arr < 0.0):
+        if (arr < 0.0).any():
             raise ValueError(f"{name} must be >= 0")
     else:
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             raise ValueError(f"{name} must be > 0")
     return arr
 

@@ -89,6 +89,14 @@ class TestParseConfig:
         path.write_text("noise_power = 0\n")
         assert parse_config(path).noise_power == 0.0
 
+    @pytest.mark.parametrize("text", ["scatter_std = nan\n", "gamma_th_db = inf\n",
+                                      "mean_active = -inf\n"])
+    def test_non_finite_rejected(self, tmp_path, text):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=":1: .* must be finite"):
+            parse_config(path)
+
 
 class TestOverrides:
     def test_carrier_presets(self, cfg):
@@ -110,6 +118,14 @@ class TestOverrides:
     def test_unsupported_key(self, cfg):
         with pytest.raises(ConfigError):
             apply_override(cfg, "definitely_not_a_key", 1.0)
+
+    @pytest.mark.parametrize("key, value", [("gamma_th_db", math.nan),
+                                            ("scatter_std", math.inf),
+                                            ("mean_active", -math.inf),
+                                            ("avg_los_distance", math.nan)])
+    def test_non_finite_rejected(self, cfg, key, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            apply_override(cfg, key, value)
 
 
 class TestSweep:
@@ -210,6 +226,23 @@ class TestCli:
         bad.write_text("junk key = 1\n")
         rc = cli_main(["coverage", "--config", str(bad)])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--mean-active", "100"],
+        ["coverage", "--scatter-std", "-1"],
+        ["coverage", "--gamma-db", "nan"],
+        ["ase", "--engine", "montecarlo", "--gamma-db", "inf"],
+        ["optimize-s", "--gamma-db", "nan"],
+        ["coverage", "--config", "{nan_cfg}"],
+    ])
+    def test_bad_input_exits_two_without_traceback(self, capsys, tmp_path, argv):
+        nan_cfg = tmp_path / "nan.cfg"
+        nan_cfg.write_text("scatter_std = nan\n")
+        rc = cli_main([a.format(nan_cfg=nan_cfg) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_sweep_writes_csv(self, tmp_path):
         spec = tmp_path / "s.spec"

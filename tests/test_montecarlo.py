@@ -143,6 +143,32 @@ class TestSimulateSinr:
         assert nlos_only >= full
 
 
+class TestSingleWorldIsBlockTrial:
+    """A world sampled from the Philox key ``seed << 64`` is trial 0 of block 0
+    of the estimators, so one-trial estimates must agree with it exactly."""
+
+    OPTIONS = (SinrOptions(), SinrOptions(include_inter=False),
+               SinrOptions(include_intra=False, include_noise=False),
+               SinrOptions(include_los_interference=False), SinrOptions(force_los=True))
+
+    @pytest.mark.parametrize("model", list(AssociationModel), ids=lambda m: m.value)
+    @pytest.mark.parametrize("ball", [False, True], ids=["iid", "losball"])
+    def test_one_trial_estimate_matches_simulate_sinr(self, cfg, model, ball):
+        gamma = 100.0
+        blockage = LosBall(math.log(2.0) / cfg.channel.blockage_rate) if ball \
+            else IidExponential()
+        covered = []
+        for seed in range(30):
+            for options in self.OPTIONS:
+                if options.force_los and model is AssociationModel.CLOSEST_LOS:
+                    continue  # simulate_sinr keeps the sampled association
+                est = estimate_coverage(cfg, model, gamma, 1, seed, blockage, options)
+                real = sample_realization(cfg, model, blockage, _rng(seed << 64))
+                covered.append(simulate_sinr(real, cfg, options) > gamma)
+                assert est.p_hat == float(covered[-1]), (seed, options)
+        assert 0 < sum(covered) < len(covered)
+
+
 class TestEstimateCoverage:
     def test_zero_threshold_always_covered(self, cfg):
         est = estimate_coverage(cfg, AssociationModel.UNIFORM, 0.0, 2000, 17)
