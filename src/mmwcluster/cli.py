@@ -11,16 +11,21 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import analytical, montecarlo
+from . import analytical
 from .analytical import CoverageFlags
 from .config import apply_override, default_config, parse_config
 from .errors import ConfigError, NumericalError, UsageError
 from .model import AssociationModel
-from .sweep import figure_specs, parse_sweep_spec, run_sweep
+from .sweep import evaluate_engine, figure_specs, parse_sweep_spec, run_sweep
 from .validate import run_validation
 
 _MODEL_CHOICES = [m.value for m in AssociationModel] + ["all"]
-_ENGINE_CHOICES = ["analytical", "analytical_approx", "lower_bound", "montecarlo"]
+_ENGINE_NOTES = {
+    "analytical": "analytical upper bound",
+    "analytical_approx": "analytical upper bound (unconditioned distances)",
+    "lower_bound": "closed-form lower bound",
+    "montecarlo": "monte carlo, +-{half_width} (95%), {trials} trials",
+}
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -51,28 +56,16 @@ def _models(args) -> list[AssociationModel]:
 
 def _point_estimates(args, metric: str) -> list[str]:
     cfg = _load_config(args)
-    gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
+    # coverage half-widths keep 4 decimals; ASE ones are far below 1e-4
+    unit, width_format = (" bit/s/Hz/m^2", ".3g") if metric == "ase" else ("", ".4f")
     lines = []
     for model in _models(args):
-        if args.engine == "analytical":
-            value = analytical.coverage(model, gamma, CoverageFlags(), cfg)
-            note = "analytical upper bound"
-        elif args.engine == "analytical_approx":
-            value = analytical.coverage(model, gamma,
-                                        CoverageFlags(use_assumption1=True), cfg)
-            note = "analytical upper bound (unconditioned distances)"
-        elif args.engine == "lower_bound":
-            value = analytical.coverage_lower_bound(gamma, cfg)
-            note = "closed-form lower bound"
-        else:
-            est = montecarlo.estimate_coverage(cfg, model, gamma, args.trials, args.seed)
-            value = est.p_hat
-            note = f"monte carlo, +-{est.half_width_95:.4f} (95%), {est.n_trials} trials"
-        if metric == "ase":
-            value = analytical.ase_from_coverage(cfg, gamma, value)
-            lines.append(f"{model.value:12s} {value:.9g} bit/s/Hz/m^2  [{note}]")
-        else:
-            lines.append(f"{model.value:12s} {value:.9g}  [{note}]")
+        value, half_width, _ = evaluate_engine(cfg, model, args.engine, metric,
+                                               args.seed, args.trials)
+        note = _ENGINE_NOTES[args.engine]
+        if half_width is not None:
+            note = note.format(half_width=format(half_width, width_format), trials=args.trials)
+        lines.append(f"{model.value:12s} {value:.9g}{unit}  [{note}]")
     return lines
 
 
@@ -88,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     for p in (p_cov, p_ase):
         _add_common(p)
         p.add_argument("--model", choices=_MODEL_CHOICES, default="all")
-        p.add_argument("--engine", choices=_ENGINE_CHOICES, default="analytical")
+        p.add_argument("--engine", choices=list(_ENGINE_NOTES), default="analytical")
         p.add_argument("--gamma-db", type=float, default=None, help="SINR threshold [dB]")
         p.add_argument("--mean-active", type=float, default=None)
         p.add_argument("--scatter-std", type=float, default=None)
@@ -114,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.trials < 1 or args.threads < 1:
+            raise UsageError("--trials and --threads must be >= 1")
         if args.command in ("coverage", "ase"):
             for line in _point_estimates(args, args.command):
                 print(line)

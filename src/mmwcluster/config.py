@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError
 from .model import (
@@ -28,7 +29,11 @@ __all__ = [
     "default_config",
     "parse_config",
     "apply_override",
+    "check_override_key",
     "config_with_carrier",
+    "parse_number",
+    "read_key_values",
+    "OVERRIDE_KEYS",
 ]
 
 
@@ -55,123 +60,138 @@ def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-# One entry per accepted key: (parser, description).  Values are collected as
-# floats/strings first and assembled into a NetworkConfig at the end so that
-# interdependent defaults (noise from bandwidth, intercept from carrier)
-# resolve in one place.
-_FLOAT_KEYS = {
-    "parent_density_per_km2": "cluster density [1/km^2]",
-    "scatter_std": "device scatter standard deviation [m]",
-    "cluster_tx_count": "possible transmitters per cluster",
-    "mean_active": "mean simultaneously active transmitters per cluster",
-    "bandwidth_mhz": "bandwidth [MHz] (sets the default noise power)",
-    "noise_figure_db": "receiver noise figure [dB]",
-    "tx_power_dbm": "transmit power [dBm] (noise normalization)",
-    "noise_power": "explicit normalized noise power (overrides the derived one; 0 = SIR)",
-    "alpha_los": "unblocked path-loss exponent",
-    "alpha_nlos": "blocked path-loss exponent",
-    "nakagami_los": "unblocked fading shape (integer)",
-    "nakagami_nlos": "blocked fading shape (integer)",
-    "intercept_db": "path-loss intercept at 1 m [dB] (default: free space at carrier)",
-    "tx_main_lobe_db": "transmitter main-lobe gain [dB]",
-    "tx_side_lobe_db": "transmitter side-lobe gain [dB]",
-    "tx_beamwidth_deg": "transmitter beamwidth [deg]",
-    "rx_main_lobe_db": "receiver main-lobe gain [dB]",
-    "rx_side_lobe_db": "receiver side-lobe gain [dB]",
-    "rx_beamwidth_deg": "receiver beamwidth [deg]",
-    "carrier_ghz": "carrier frequency [GHz]",
-    "avg_los_distance": "average unblocked-link distance [m]",
-    "antenna_elements": "antenna elements per device (integer)",
-    "region_half_width": "simulation window half-width [m]",
-    "gamma_th_db": "SINR threshold [dB]",
+def _integer(value: float) -> int:
+    if value != int(value):
+        raise ValueError(f"must be an integer, got {value}")
+    return int(value)
+
+
+def _blockage_rate(avg_los_distance: float) -> float:
+    if avg_los_distance <= 0.0:
+        raise ValueError("must be positive")
+    return math.sqrt(2.0) / avg_los_distance
+
+
+@dataclass(frozen=True)
+class _Key:
+    """A user-unit key: meaning, default (``None``: derived unless given), the
+    ``NetworkConfig`` field paths it sets and the conversion into them.  A key
+    without field paths only feeds a derived value (noise, intercept, carrier)."""
+
+    description: str
+    default: float | None
+    fields: tuple[str, ...] = ()
+    convert: Callable[[float], float] = float
+
+
+_KEYS = {
+    "parent_density_per_km2": _Key("cluster density [1/km^2]", 150.0,
+                                   ("parent_density",), lambda density: density * 1e-6),
+    "scatter_std": _Key("device scatter standard deviation [m]", 10.0, ("scatter_std",)),
+    "cluster_tx_count": _Key("possible transmitters per cluster", 40.0,
+                             ("cluster_tx_count",), _integer),
+    "mean_active": _Key("mean simultaneously active transmitters per cluster", 5.0,
+                        ("mean_active",)),
+    "bandwidth_mhz": _Key("bandwidth [MHz] (sets the default noise power)", 100.0),
+    "noise_figure_db": _Key("receiver noise figure [dB]", 10.0),
+    "tx_power_dbm": _Key("transmit power [dBm] (noise normalization)", 23.0),
+    "noise_power": _Key("explicit normalized noise power (overrides the derived one; 0 = SIR)",
+                        None, ("noise_power",)),
+    "alpha_los": _Key("unblocked path-loss exponent", 2.0, ("channel.alpha_los",)),
+    "alpha_nlos": _Key("blocked path-loss exponent", 4.0, ("channel.alpha_nlos",)),
+    "nakagami_los": _Key("unblocked fading shape (integer)", 3.0,
+                         ("channel.nakagami_los",), _integer),
+    "nakagami_nlos": _Key("blocked fading shape (integer)", 2.0,
+                          ("channel.nakagami_nlos",), _integer),
+    "intercept_db": _Key("path-loss intercept at 1 m [dB] (default: free space at carrier)",
+                         None, ("channel.intercept_los", "channel.intercept_nlos"),
+                         _db_to_linear),
+    "tx_main_lobe_db": _Key("transmitter main-lobe gain [dB]", 10.0,
+                            ("tx_pattern.main_lobe_gain",), _db_to_linear),
+    "tx_side_lobe_db": _Key("transmitter side-lobe gain [dB]", -10.0,
+                            ("tx_pattern.side_lobe_gain",), _db_to_linear),
+    "tx_beamwidth_deg": _Key("transmitter beamwidth [deg]", 30.0,
+                             ("tx_pattern.beamwidth_rad",), math.radians),
+    "rx_main_lobe_db": _Key("receiver main-lobe gain [dB]", 10.0,
+                            ("rx_pattern.main_lobe_gain",), _db_to_linear),
+    "rx_side_lobe_db": _Key("receiver side-lobe gain [dB]", 0.0,
+                            ("rx_pattern.side_lobe_gain",), _db_to_linear),
+    "rx_beamwidth_deg": _Key("receiver beamwidth [deg]", 90.0,
+                             ("rx_pattern.beamwidth_rad",), math.radians),
+    "carrier_ghz": _Key("carrier frequency [GHz]", 28.0),
+    "avg_los_distance": _Key("average unblocked-link distance [m]", 30.0,
+                             ("channel.blockage_rate",), _blockage_rate),
+    "antenna_elements": _Key("antenna elements per device (integer)", 1.0,
+                             ("antenna_elements",), _integer),
+    "region_half_width": _Key("simulation window half-width [m]", 500.0, ("region_half_width",)),
+    "gamma_th_db": _Key("SINR threshold [dB]", 20.0, ("gamma_th_db",)),
 }
 
-_DEFAULTS = {
-    "parent_density_per_km2": 150.0,
-    "scatter_std": 10.0,
-    "cluster_tx_count": 40.0,
-    "mean_active": 5.0,
-    "bandwidth_mhz": 100.0,
-    "noise_figure_db": 10.0,
-    "tx_power_dbm": 23.0,
-    "alpha_los": 2.0,
-    "alpha_nlos": 4.0,
-    "nakagami_los": 3.0,
-    "nakagami_nlos": 2.0,
-    "tx_main_lobe_db": 10.0,
-    "tx_side_lobe_db": -10.0,
-    "tx_beamwidth_deg": 30.0,
-    "rx_main_lobe_db": 10.0,
-    "rx_side_lobe_db": 0.0,
-    "rx_beamwidth_deg": 90.0,
-    "carrier_ghz": 28.0,
-    "avg_los_distance": 30.0,
-    "antenna_elements": 1.0,
-    "region_half_width": 500.0,
-    "gamma_th_db": 20.0,
-}
+#: Keys :func:`apply_override` (and so a sweep spec) accepts: every key that
+#: sets fields directly, plus ``carrier_hz``, which applies the presets.
+OVERRIDE_KEYS = frozenset(key for key, entry in _KEYS.items() if entry.fields) | {"carrier_hz"}
 
 
-def _assemble(values: dict[str, float]) -> NetworkConfig:
-    def need_int(key: str) -> int:
-        val = values[key]
-        if val != int(val):
-            raise ConfigError(f"{key} must be an integer, got {val}")
-        return int(val)
-
+def _assemble(values: dict[str, float | None]) -> NetworkConfig:
+    """Build a config from one user-unit value per key of ``_KEYS``."""
+    fields: dict[str, dict] = {"": {}, "channel": {}, "tx_pattern": {}, "rx_pattern": {}}
+    for key, entry in _KEYS.items():
+        if entry.fields and values[key] is not None:
+            try:
+                converted = entry.convert(values[key])
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+            for path in entry.fields:
+                owner, _, name = path.rpartition(".")
+                fields[owner][name] = converted
     carrier_hz = values["carrier_ghz"] * 1e9
-    if "intercept_db" in values:
-        intercept = _db_to_linear(values["intercept_db"])
-    else:
-        intercept = free_space_intercept(carrier_hz)
-    if "noise_power" in values:
-        noise = values["noise_power"]
-    else:
-        noise = default_noise_power(values["bandwidth_mhz"] * 1e6,
-                                    values["noise_figure_db"], values["tx_power_dbm"])
-    if values["avg_los_distance"] <= 0.0:
-        raise ConfigError("avg_los_distance must be positive")
     try:
-        channel = ChannelParams(
-            alpha_los=values["alpha_los"],
-            alpha_nlos=values["alpha_nlos"],
-            intercept_los=intercept,
-            intercept_nlos=intercept,
-            nakagami_los=need_int("nakagami_los"),
-            nakagami_nlos=need_int("nakagami_nlos"),
-            blockage_rate=math.sqrt(2.0) / values["avg_los_distance"],
-        )
-        tx = AntennaPattern(
-            main_lobe_gain=_db_to_linear(values["tx_main_lobe_db"]),
-            side_lobe_gain=_db_to_linear(values["tx_side_lobe_db"]),
-            beamwidth_rad=math.radians(values["tx_beamwidth_deg"]),
-        )
-        rx = AntennaPattern(
-            main_lobe_gain=_db_to_linear(values["rx_main_lobe_db"]),
-            side_lobe_gain=_db_to_linear(values["rx_side_lobe_db"]),
-            beamwidth_rad=math.radians(values["rx_beamwidth_deg"]),
-        )
-        return NetworkConfig(
-            parent_density=values["parent_density_per_km2"] * 1e-6,
-            scatter_std=values["scatter_std"],
-            cluster_tx_count=need_int("cluster_tx_count"),
-            mean_active=values["mean_active"],
-            channel=channel,
-            tx_pattern=tx,
-            rx_pattern=rx,
-            antenna_elements=need_int("antenna_elements"),
-            noise_power=noise,
-            carrier_hz=carrier_hz,
-            region_half_width=values["region_half_width"],
-            gamma_th_db=values["gamma_th_db"],
-        )
-    except ValueError as exc:
+        if values["intercept_db"] is None:
+            intercept = free_space_intercept(carrier_hz)
+            fields["channel"].update(intercept_los=intercept, intercept_nlos=intercept)
+        if values["noise_power"] is None:
+            fields[""]["noise_power"] = default_noise_power(
+                values["bandwidth_mhz"] * 1e6, values["noise_figure_db"], values["tx_power_dbm"])
+        return NetworkConfig(**fields[""], carrier_hz=carrier_hz,
+                             channel=ChannelParams(**fields["channel"]),
+                             tx_pattern=AntennaPattern(**fields["tx_pattern"]),
+                             rx_pattern=AntennaPattern(**fields["rx_pattern"]))
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def parse_number(key: str, text: str | float) -> float:
+    """``text`` as a finite float, or a ``ConfigError`` naming ``key``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key} needs a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
+
+
+def read_key_values(path: str | Path, handle: Callable[[str, str], None]) -> None:
+    """Feed every ``key = value`` line of a file to ``handle(key, value)``,
+    skipping blanks and ``#`` comments.  A line without ``=``, or a
+    ``ValueError`` from ``handle``, becomes a ``ConfigError`` naming the line."""
+    text = Path(path).read_text()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = line.partition("=")
+        try:
+            if not eq:
+                raise ValueError(f"expected 'key = value', got {raw!r}")
+            handle(key.strip(), val.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
 
 
 def default_config() -> NetworkConfig:
     """The built-in default network setting."""
-    return _assemble(dict(_DEFAULTS))
+    return _assemble({key: entry.default for key, entry in _KEYS.items()})
 
 
 def parse_config(path: str | Path) -> NetworkConfig:
@@ -180,75 +200,42 @@ def parse_config(path: str | Path) -> NetworkConfig:
     An empty file yields :func:`default_config`.  Lines starting with ``#``
     (or trailing ``#`` comments) are ignored.
     """
-    values = dict(_DEFAULTS)
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _FLOAT_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: {key} needs a number, got {val!r}") from None
-        if not math.isfinite(values[key]):
-            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
+    values = {key: entry.default for key, entry in _KEYS.items()}
+
+    def store(key: str, text: str) -> None:
+        if key not in _KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        values[key] = parse_number(key, text)
+
+    read_key_values(path, store)
     return _assemble(values)
+
+
+def check_override_key(key: str) -> None:
+    """Raise ``ConfigError`` unless ``key`` is one of :data:`OVERRIDE_KEYS`."""
+    if key not in OVERRIDE_KEYS:
+        derived = " (it feeds a derived value: set it in the config file)" if key in _KEYS else ""
+        raise ConfigError(f"unsupported override key {key!r}{derived}")
 
 
 def apply_override(cfg: NetworkConfig, key: str, value: float) -> NetworkConfig:
     """Re-derive a config with one user-unit key changed (sweep axes and
     figure-preset overrides)."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value}")
+    value = parse_number(key, value)
+    check_override_key(key)
     try:
-        if key == "mean_active":
-            return replace(cfg, mean_active=value)
-        if key == "gamma_th_db":
-            return replace(cfg, gamma_th_db=value)
-        if key == "scatter_std":
-            return replace(cfg, scatter_std=value)
-        if key == "region_half_width":
-            return replace(cfg, region_half_width=value)
-        if key == "noise_power":
-            return replace(cfg, noise_power=value)
-        if key == "antenna_elements":
-            return replace(cfg, antenna_elements=int(value))
-        if key == "cluster_tx_count":
-            return replace(cfg, cluster_tx_count=int(value))
-        if key == "avg_los_distance":
-            if value <= 0.0:
-                raise ConfigError("avg_los_distance must be positive")
-            return replace(cfg, channel=replace(cfg.channel,
-                                                blockage_rate=math.sqrt(2.0) / value))
         if key == "carrier_hz":
             return config_with_carrier(cfg, value)
-        if key in ("alpha_los", "alpha_nlos"):
-            return replace(cfg, channel=replace(cfg.channel, **{key: value}))
-        if key in ("nakagami_los", "nakagami_nlos"):
-            return replace(cfg, channel=replace(cfg.channel, **{key: int(value)}))
-        if key.startswith(("tx_", "rx_")):
-            end, field = key.split("_", 1)
-            pattern = cfg.tx_pattern if end == "tx" else cfg.rx_pattern
-            if field == "main_lobe_db":
-                pattern = replace(pattern, main_lobe_gain=_db_to_linear(value))
-            elif field == "side_lobe_db":
-                pattern = replace(pattern, side_lobe_gain=_db_to_linear(value))
-            elif field == "beamwidth_deg":
-                pattern = replace(pattern, beamwidth_rad=math.radians(value))
+        converted = _KEYS[key].convert(value)
+        for path in _KEYS[key].fields:
+            owner, _, name = path.rpartition(".")
+            if owner:
+                cfg = replace(cfg, **{owner: replace(getattr(cfg, owner), **{name: converted})})
             else:
-                raise ConfigError(f"unsupported override key {key!r}")
-            return replace(cfg, **{f"{end}_pattern": pattern})
-    except ValueError as exc:
+                cfg = replace(cfg, **{name: converted})
+        return cfg
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"unsupported override key {key!r}")
 
 
 def config_with_carrier(cfg: NetworkConfig, carrier_hz: float) -> NetworkConfig:

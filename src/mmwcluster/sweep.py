@@ -11,21 +11,23 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytical, montecarlo
 from .analytical import CoverageFlags
-from .config import _FLOAT_KEYS, apply_override
+from .config import apply_override, check_override_key, parse_number, read_key_values
 from .errors import ConfigError, NumericalError, UsageError
 from .model import AssociationModel, NetworkConfig
 
-__all__ = ["SweepSpec", "run_sweep", "figure_specs", "parse_sweep_spec", "CSV_HEADER"]
+__all__ = ["SweepSpec", "run_sweep", "figure_specs", "parse_sweep_spec", "evaluate_engine",
+           "CSV_HEADER"]
 
 CSV_HEADER = "axis_value,model,engine,coverage_or_ase,ci_half_width,is_upper_bound,seed,error"
 
 _AXES = ("mean_active", "gamma_th_db", "scatter_std", "carrier_hz", "avg_los_distance")
 _BASE_ENGINES = ("analytical", "analytical_approx", "lower_bound", "montecarlo")
+_UPPER_BOUND_ENGINES = ("analytical", "analytical_approx")
 _MC_VARIANTS = {
     "intra_only": dict(include_inter=False),
     "inter_only": dict(include_intra=False),
@@ -87,18 +89,6 @@ def _mc_case(variants: tuple[str, ...], cfg: NetworkConfig):
     return montecarlo.SinrOptions(**opts), blockage
 
 
-@dataclass(frozen=True)
-class _Row:
-    axis_value: float
-    model: AssociationModel
-    engine: str
-    value: float | None
-    ci_half_width: float | None
-    is_upper_bound: bool
-    seed: int | None
-    error: str = ""
-
-
 def _format(x: float | None) -> str:
     if x is None:
         return ""
@@ -109,33 +99,48 @@ def _row_seed(base_seed: int, index: int) -> int:
     return (base_seed * 1_000_003 + index) & ((1 << 63) - 1)
 
 
-def _evaluate_point(cfg: NetworkConfig, model: AssociationModel, engine: str,
-                    metric: str, axis_value: float, seed: int, trials: int) -> _Row:
+def evaluate_engine(cfg: NetworkConfig, model: AssociationModel, engine: str,
+                    metric: str, seed: int, trials: int) -> tuple[float, float | None, bool]:
+    """One engine's coverage (or ASE) at the configured threshold.
+
+    Returns ``(value, 95% half-width or None, is_upper_bound)``; the
+    half-width is in the metric's units and only Monte Carlo engines have
+    one.  Raises ``UsageError``/``NumericalError`` when the engine cannot
+    evaluate the point.
+    """
     gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
     base, variants = _parse_engine(engine)
+    ci = None
+    if base == "analytical":
+        value = analytical.coverage(model, gamma, CoverageFlags(), cfg)
+    elif base == "analytical_approx":
+        value = analytical.coverage(model, gamma, CoverageFlags(use_assumption1=True), cfg)
+    elif base == "lower_bound":
+        value = analytical.coverage_lower_bound(gamma, cfg)
+    else:
+        options, blockage = _mc_case(variants, cfg)
+        est = montecarlo.estimate_coverage(cfg, model, gamma, trials, seed, blockage, options)
+        value, ci = est.p_hat, est.half_width_95
+    if metric == "ase":
+        value = analytical.ase_from_coverage(cfg, gamma, value)
+        if ci is not None:
+            ci = analytical.ase_from_coverage(cfg, gamma, ci)
+    return value, ci, base in _UPPER_BOUND_ENGINES
+
+
+def _evaluate_point(cfg: NetworkConfig, model: AssociationModel, engine: str,
+                    metric: str, axis_value: float, seed: int, trials: int) -> str:
+    """One CSV row; a numerical failure fills ``error`` instead of a value."""
+    error = ""
     try:
-        if base == "analytical":
-            value = analytical.coverage(model, gamma, CoverageFlags(), cfg)
-            ci, upper, row_seed = None, True, None
-        elif base == "analytical_approx":
-            value = analytical.coverage(model, gamma, CoverageFlags(use_assumption1=True), cfg)
-            ci, upper, row_seed = None, True, None
-        elif base == "lower_bound":
-            value = analytical.coverage_lower_bound(gamma, cfg)
-            ci, upper, row_seed = None, False, None
-        else:
-            options, blockage = _mc_case(variants, cfg)
-            est = montecarlo.estimate_coverage(cfg, model, gamma, trials, seed,
-                                               blockage, options)
-            value, ci, upper, row_seed = est.p_hat, est.half_width_95, False, seed
-        if metric == "ase":
-            value = analytical.ase_from_coverage(cfg, gamma, value)
-            if ci is not None:
-                ci = analytical.ase_from_coverage(cfg, gamma, ci)
-        return _Row(axis_value, model, engine, value, ci, upper, row_seed)
+        value, ci, upper = evaluate_engine(cfg, model, engine, metric, seed, trials)
     except (UsageError, NumericalError) as exc:
-        return _Row(axis_value, model, engine, None, None, base != "lower_bound"
-                    and base != "montecarlo", None, error=str(exc).replace(",", ";"))
+        value, ci, upper = None, None, engine in _UPPER_BOUND_ENGINES
+        error = str(exc).replace(",", ";")
+    # only Monte Carlo rows carry a half-width, and only they are seeded
+    row_seed = "" if ci is None else str(seed)
+    return ",".join([_format(axis_value), model.value, engine, _format(value), _format(ci),
+                     "true" if upper else "false", row_seed, error])
 
 
 def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_path: str | Path,
@@ -169,19 +174,7 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_path: str | Path,
         rows = [work(item) for item in items]
 
     out_path = Path(out_path)
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            _format(row.axis_value),
-            row.model.value,
-            row.engine,
-            _format(row.value),
-            _format(row.ci_half_width),
-            "true" if row.is_upper_bound else "false",
-            "" if row.seed is None else str(row.seed),
-            row.error,
-        ]))
-    out_path.write_text("\n".join(lines) + "\n")
+    out_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
     return out_path
 
 
@@ -262,54 +255,31 @@ def figure_specs(figure: str) -> list[SweepSpec]:
                       "2a, 2b, 3a, 3b, 4a, 4b, 5a, 5b")
 
 
-# rx beam overrides are only meaningful inside figure presets; accept them in
-# sweep-spec files too by treating every non-reserved key as a config override.
-_RESERVED_SPEC_KEYS = {"axis", "values", "models", "engines", "metric"}
-_EXTRA_OVERRIDE_KEYS = set(_FLOAT_KEYS) | {"carrier_hz"}
-
-
 def parse_sweep_spec(path: str | Path) -> SweepSpec:
     """Parse a sweep-spec file (same line-oriented key = value format).
 
     Reserved keys: axis, values (comma-separated), models, engines, metric.
-    Any other key must be a config key and is applied as an override before
-    the sweep runs.
+    Any other key must be an override key (``config.OVERRIDE_KEYS``) and is
+    applied before the sweep runs.
     """
-    axis = None
-    values: tuple[float, ...] = ()
-    models = _ALL_MODELS
-    engines: tuple[str, ...] = ()
-    metric = "coverage"
+    fields = {"axis": None, "values": (), "models": _ALL_MODELS, "engines": (),
+              "metric": "coverage"}
     overrides: list[tuple[str, float]] = []
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        try:
-            if key == "axis":
-                axis = val
-            elif key == "values":
-                values = tuple(float(tok) for tok in val.split(","))
-            elif key == "models":
-                models = tuple(AssociationModel(tok.strip()) for tok in val.split(","))
-            elif key == "engines":
-                engines = tuple(tok.strip() for tok in val.split(","))
-            elif key == "metric":
-                metric = val
-            elif key in _EXTRA_OVERRIDE_KEYS:
-                overrides.append((key, float(val)))
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    if axis is None:
+
+    def store(key: str, text: str) -> None:
+        if key == "values":
+            fields[key] = tuple(float(tok) for tok in text.split(","))
+        elif key == "models":
+            fields[key] = tuple(AssociationModel(tok.strip()) for tok in text.split(","))
+        elif key == "engines":
+            fields[key] = tuple(tok.strip() for tok in text.split(","))
+        elif key in ("axis", "metric"):
+            fields[key] = text
+        else:
+            check_override_key(key)
+            overrides.append((key, parse_number(key, text)))
+
+    read_key_values(path, store)
+    if fields["axis"] is None:
         raise ConfigError(f"{path}: missing 'axis'")
-    return SweepSpec(axis=axis, values=values, models=models, engines=engines,
-                     metric=metric, config_overrides=tuple(overrides),
-                     label=Path(path).stem)
+    return SweepSpec(**fields, config_overrides=tuple(overrides), label=Path(path).stem)

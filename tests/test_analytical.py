@@ -316,7 +316,9 @@ class TestCoverage:
                     * laplace_inter(n, s, clear)
             return total * serving_distance_pdf_approx(AssociationModel.UNIFORM, r, clear)
 
-        ref, _ = quad(integrand, 0.0, 17 * clear.scatter_std, limit=100)
+        ref, ref_err = quad(integrand, 0.0, 17 * clear.scatter_std,
+                            epsabs=0.0, epsrel=5e-4, limit=100)
+        assert ref_err < 5e-4 * ref  # the reference itself converged
         mine = coverage(AssociationModel.UNIFORM, gamma, flags, clear)
         assert mine == pytest.approx(ref, rel=2e-3)
 

@@ -1,15 +1,20 @@
 """Config parsing, sweep CSV emission, CLI exit codes, determinism."""
 
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from mmwcluster.analytical import ase_from_coverage
 from mmwcluster.cli import main as cli_main
 from mmwcluster.config import (
     FREQUENCY_PRESETS,
+    OVERRIDE_KEYS,
     apply_override,
     config_with_carrier,
     default_config,
@@ -17,6 +22,7 @@ from mmwcluster.config import (
 )
 from mmwcluster.errors import ConfigError
 from mmwcluster.model import AssociationModel
+from mmwcluster.montecarlo import estimate_coverage
 from mmwcluster.sweep import (
     CSV_HEADER,
     SweepSpec,
@@ -29,6 +35,26 @@ from mmwcluster.sweep import (
 @pytest.fixture()
 def cfg():
     return default_config()
+
+
+_CONFIG_KEYS = sorted(OVERRIDE_KEYS - {"carrier_hz"}
+                      | {"bandwidth_mhz", "noise_figure_db", "tx_power_dbm", "carrier_ghz"})
+_INTEGER_KEYS = ["cluster_tx_count", "nakagami_los", "nakagami_nlos", "antenna_elements"]
+# small integers, gains in dB, exponents, distances: valid and invalid alike
+_VALUES = st.one_of(st.integers(-20, 60).map(float),
+                    st.floats(-30.0, 150.0, allow_nan=False, allow_infinity=False))
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ConfigError:
+        return ConfigError
+
+
+def _parse_dict(path, values):
+    path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    return parse_config(path)
 
 
 class TestParseConfig:
@@ -127,6 +153,32 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="must be finite"):
             apply_override(cfg, key, value)
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _VALUES, max_size=8),
+           key=st.sampled_from(sorted(OVERRIDE_KEYS - {"carrier_hz"})), value=_VALUES)
+    def test_override_matches_parsing(self, tmp_path, base, key, value):
+        path = tmp_path / "c.cfg"
+        parsed = _outcome(lambda: _parse_dict(path, base))
+        assume(parsed is not ConfigError)
+        assert (_outcome(lambda: apply_override(parsed, key, value))
+                == _outcome(lambda: _parse_dict(path, base | {key: value})))
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(_INTEGER_KEYS),
+           value=st.floats(0.5, 60.0).filter(lambda v: v != int(v)))
+    def test_non_integer_rejected(self, tmp_path, cfg, key, value):
+        with pytest.raises(ConfigError, match="integer"):
+            apply_override(cfg, key, value)
+        with pytest.raises(ConfigError, match="integer"):
+            _parse_dict(tmp_path / "c.cfg", {key: value})
+
+    @pytest.mark.parametrize("key", ["bandwidth_mhz", "noise_figure_db", "tx_power_dbm",
+                                     "carrier_ghz"])
+    def test_derived_inputs_rejected(self, cfg, key):
+        with pytest.raises(ConfigError, match="derived"):
+            apply_override(cfg, key, 30.0)
+
 
 class TestSweep:
     def _tiny_spec(self):
@@ -187,6 +239,15 @@ class TestSweep:
         assert spec.metric == "ase"
         assert ("scatter_std", 15.0) in spec.config_overrides
 
+    def test_spec_overrides_density_and_intercept(self, cfg, tmp_path):
+        path = tmp_path / "sweep.spec"
+        path.write_text("axis = mean_active\nvalues = 2\nmodels = uniform\n"
+                        "engines = analytical_approx\nparent_density_per_km2 = 300\n"
+                        "intercept_db = -60\n")
+        out = run_sweep(cfg, parse_sweep_spec(path), tmp_path / "s.csv")
+        fields = out.read_text().splitlines()[1].split(",")
+        assert fields[3] and not fields[7]
+
     def test_engine_variants_validated(self):
         with pytest.raises(ConfigError):
             SweepSpec(axis="mean_active", values=(1.0,),
@@ -233,16 +294,38 @@ class TestCli:
         ["coverage", "--gamma-db", "nan"],
         ["ase", "--engine", "montecarlo", "--gamma-db", "inf"],
         ["optimize-s", "--gamma-db", "nan"],
-        ["coverage", "--config", "{nan_cfg}"],
+        ["coverage", "--config", "{dir}/nan.cfg"],
+        ["sweep", "--spec", "{dir}/good.spec", "--out", "{dir}/out.csv", "--trials", "0"],
+        ["sweep", "--spec", "{dir}/good.spec", "--out", "{dir}/out.csv", "--threads", "0"],
+        ["coverage", "--engine", "montecarlo", "--trials", "0"],
+        ["sweep", "--spec", "{dir}/carrier_ghz.spec", "--out", "{dir}/out.csv"],
+        ["sweep", "--spec", "{dir}/bandwidth_mhz.spec", "--out", "{dir}/out.csv"],
+        ["sweep", "--spec", "{dir}/noise_figure_db.spec", "--out", "{dir}/out.csv"],
+        ["sweep", "--spec", "{dir}/tx_power_dbm.spec", "--out", "{dir}/out.csv"],
+        ["sweep", "--spec", "{dir}/nakagami_los.spec", "--out", "{dir}/out.csv"],
     ])
     def test_bad_input_exits_two_without_traceback(self, capsys, tmp_path, argv):
-        nan_cfg = tmp_path / "nan.cfg"
-        nan_cfg.write_text("scatter_std = nan\n")
-        rc = cli_main([a.format(nan_cfg=nan_cfg) for a in argv])
+        (tmp_path / "nan.cfg").write_text("scatter_std = nan\n")
+        good = "axis = mean_active\nvalues = 2\nmodels = uniform\nengines = montecarlo\n"
+        (tmp_path / "good.spec").write_text(good)
+        for key, value in (("carrier_ghz", 60), ("bandwidth_mhz", 200), ("noise_figure_db", 7),
+                           ("tx_power_dbm", 30), ("nakagami_los", 2.5)):
+            (tmp_path / f"{key}.spec").write_text(f"{good}{key} = {value}\n")
+        rc = cli_main([a.format(dir=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_ase_montecarlo_half_width_in_ase_units(self, capsys, cfg):
+        rc = cli_main(["ase", "--engine", "montecarlo", "--trials", "1000", "--seed", "4",
+                       "--model", "closest"])
+        printed = re.search(r"\+-(\S+) \(95%\)", capsys.readouterr().out).group(1)
+        gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
+        est = estimate_coverage(cfg, AssociationModel.CLOSEST, gamma, 1000, 4)
+        assert rc == 0
+        assert printed == f"{ase_from_coverage(cfg, gamma, est.half_width_95):.3g}"
 
     def test_sweep_writes_csv(self, tmp_path):
         spec = tmp_path / "s.spec"
