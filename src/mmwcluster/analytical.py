@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 from scipy.interpolate import PchipInterpolator
+from scipy.special import beta as _sc_beta
 
 from .errors import NumericalError, UsageError
 from .model import (
@@ -591,8 +591,9 @@ def coverage(model: AssociationModel, gamma_th: float,
 def lower_bound_constants(cfg: NetworkConfig) -> LowerBoundConstants:
     """xi (gain moment) and psi (tail integral) of the closed-form bound.
 
-    psi's integrand carries an integrable singularity at the origin that is
-    removed by the substitution y = u^(alpha/(alpha-2)) before quadrature.
+    psi = integral_0^inf (1 - (1+y)^-N) y^(-c-1) dy with c = 2/alpha and N the
+    LOS Nakagami shape.  Integration by parts turns it into the Beta integral
+    (N/c) * integral_0^inf y^-c (1+y)^-(N+1) dy = (N/c) B(1-c, N+c).
     """
     ch = cfg.channel
     alpha = ch.alpha_los
@@ -605,18 +606,7 @@ def lower_bound_constants(cfg: NetworkConfig) -> LowerBoundConstants:
     xi = float(np.sum(probs * gains ** (2.0 / alpha)))
 
     c = 2.0 / alpha
-    p = alpha / (alpha - 2.0)
-
-    def low(u):
-        # -expm1(-N*log1p(x)) = 1 - (1+x)^-N without cancellation for tiny x
-        return -p * np.expm1(-n_l * np.log1p(u ** p)) * u ** (-c * p - 1.0)
-
-    def high(y):
-        return -np.expm1(-n_l * np.log1p(y)) * y ** (-c - 1.0)
-
-    part1, _ = _scipy_quad(low, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    part2, _ = _scipy_quad(high, 1.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return LowerBoundConstants(xi=xi, psi=part1 + part2)
+    return LowerBoundConstants(xi=xi, psi=float((n_l / c) * _sc_beta(1.0 - c, n_l + c)))
 
 
 def coverage_lower_bound(gamma_th: float, cfg: NetworkConfig) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfcx
 
 from .errors import DegenerateSupportError, UsageError
 from ._quadrature import CumulativeQuadrature
@@ -364,17 +365,6 @@ def interferer_distance_pdf(model: AssociationModel, s, v, r_serving, cfg: Netwo
     return float(out) if np.ndim(s) == 0 else out
 
 
-@lru_cache(maxsize=128)
-def _los_weighted_cdf_approx(sigma: float, rate: float) -> CumulativeQuadrature:
-    """Cumulative of exp(-rate*t) * Rayleigh(t; 2 sigma^2), unconditioned."""
-    var2 = 2.0 * sigma * sigma
-
-    def weighted(t):
-        return np.exp(-rate * t) * rayleigh_pdf(t, var2)
-
-    return CumulativeQuadrature(weighted, 17.0 * sigma, segments=640, order=8)
-
-
 def serving_distance_pdf_approx(model: AssociationModel, r, cfg: NetworkConfig):
     """Serving-distance density with the cluster-center conditioning dropped.
 
@@ -395,9 +385,13 @@ def serving_distance_pdf_approx(model: AssociationModel, r, cfg: NetworkConfig):
         out = m * np.exp(-(m - 1) * r_arr * r_arr / (4.0 * sigma * sigma)) \
             * rayleigh_pdf(r_arr, var2)
     elif model is AssociationModel.CLOSEST_LOS:
-        cdf = _los_weighted_cdf_approx(sigma, cfg.channel.blockage_rate)
-        remaining = 1.0 - cdf.value(r_arr)
-        weighted = np.exp(-cfg.channel.blockage_rate * r_arr) * rayleigh_pdf(r_arr, var2)
+        # 1 - integral_0^r exp(-rate*t) Rayleigh(t; 2 sigma^2) dt in closed form:
+        # integrate by parts, then complete the square in the Gaussian.
+        rate = cfg.channel.blockage_rate
+        k = rate * sigma
+        e = np.exp(-r_arr * (r_arr + 4.0 * k * sigma) / (4.0 * sigma * sigma))
+        remaining = e + k * math.sqrt(math.pi) * (erfcx(k) - erfcx(0.5 * r_arr / sigma + k) * e)
+        weighted = np.exp(-rate * r_arr) * rayleigh_pdf(r_arr, var2)
         out = m * remaining ** (m - 1) * weighted
     else:  # pragma: no cover - exhaustive enum
         raise UsageError(f"unknown association model {model}")

@@ -39,8 +39,7 @@ from mmwcluster.montecarlo import (
 )
 from mmwcluster.special import bessel_i0, marcum_q1
 from mmwcluster.sweep import SweepSpec, run_sweep
-
-from test_special import i0_series, marcum_by_quadrature
+from mmwcluster.validate import i0_series, marcum_by_quadrature
 
 ALL_MODELS = (AssociationModel.UNIFORM, AssociationModel.CLOSEST,
               AssociationModel.CLOSEST_LOS)

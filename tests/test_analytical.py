@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import beta as beta_fn
 
 from mmwcluster.analytical import (
     CoverageFlags,
@@ -255,7 +254,9 @@ class TestCoverage:
                         * laplace_inter(n, s, cfg)
             return total * serving_distance_pdf_approx(AssociationModel.UNIFORM, r, cfg)
 
-        ref, _ = quad(integrand, 0.0, 17 * cfg.scatter_std, limit=60)
+        ref, ref_err = quad(integrand, 0.0, 17 * cfg.scatter_std,
+                            epsabs=0.0, epsrel=5e-5, limit=100)
+        assert ref_err < 5e-5 * ref  # the reference itself converged
         mine = coverage(AssociationModel.UNIFORM, gamma, flags, cfg)
         assert mine == pytest.approx(ref, rel=2e-4)
 
@@ -328,14 +329,27 @@ class TestLowerBound:
         cfg60 = config_with_carrier(cfg, 60e9).with_mean_active(1.0)
         assert coverage_lower_bound(100.0, cfg60) == pytest.approx(1.0, abs=1e-12)
 
-    def test_psi_matches_beta_identity(self, cfg):
-        for carrier, alpha in ((60e9, 2.25),):
-            cfg60 = config_with_carrier(cfg, carrier)
-            consts = lower_bound_constants(cfg60)
-            c = 2.0 / alpha
-            n_l = cfg60.channel.nakagami_los
-            assert consts.psi == pytest.approx((n_l / c) * beta_fn(1 - c, n_l + c),
-                                               rel=1e-10)
+    def test_psi_matches_defining_integral(self, cfg):
+        # psi = int_0^inf (1 - (1+y)^-N) y^(-c-1) dy, c = 2/alpha; on [0, 1] the
+        # substitution y = u^(alpha/(alpha-2)) removes the singularity at 0
+        cfg60 = config_with_carrier(cfg, 60e9)
+        for alpha in (2.25, 3.0, 4.0):
+            for n_l in (1, 3, 10):
+                ch = replace(cfg60.channel, alpha_los=alpha,
+                             alpha_nlos=max(alpha, cfg60.channel.alpha_nlos),
+                             nakagami_los=n_l)
+                c = 2.0 / alpha
+                p = alpha / (alpha - 2.0)
+                low, low_err = quad(
+                    lambda u: -p * np.expm1(-n_l * np.log1p(u ** p)) * u ** (-c * p - 1.0),
+                    0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+                high, high_err = quad(
+                    lambda y: -np.expm1(-n_l * np.log1p(y)) * y ** (-c - 1.0),
+                    1.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+                ref = low + high
+                assert low_err + high_err < 1e-11 * ref
+                psi = lower_bound_constants(replace(cfg60, channel=ch)).psi
+                assert psi == pytest.approx(ref, rel=1e-10), (alpha, n_l)
 
     def test_xi_is_gain_moment(self, cfg):
         cfg60 = config_with_carrier(cfg, 60e9)

@@ -241,6 +241,19 @@ class TestApproximateServingPdf:
                        0.0, 20 * cfg.scatter_std, limit=400)
         assert mass == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("avg_los_distance", [5.0, 30.0])
+    def test_closest_los_pointwise(self, cfg, avg_los_distance):
+        c = replace(cfg, channel=replace(cfg.channel,
+                                         blockage_rate=math.sqrt(2.0) / avg_los_distance))
+        rate, var2, m = c.channel.blockage_rate, 2 * c.scatter_std**2, c.cluster_tx_count
+        for r in (0.0, 0.5, 3.0, 10.0, 25.0, 60.0):
+            p, p_err = quad(lambda t: math.exp(-rate * t) * rayleigh_pdf(t, var2), 0.0, r,
+                            epsabs=0.0, epsrel=1e-13)
+            assert p_err <= 1e-12 * max(p, 1e-300)
+            expected = m * (1.0 - p) ** (m - 1) * math.exp(-rate * r) * rayleigh_pdf(r, var2)
+            got = serving_distance_pdf_approx(AssociationModel.CLOSEST_LOS, r, c)
+            assert got == pytest.approx(expected, rel=1e-11, abs=0.0), r
+
 
 class TestClusterCenterPdf:
     def test_zero_at_origin(self, cfg):

@@ -14,35 +14,7 @@ from mmwcluster.special import (
     rayleigh_pdf,
     rician_pdf,
 )
-
-
-def i0_series(x: float) -> float:
-    """Power series sum_k (x^2/4)^k / (k!)^2, summed to convergence."""
-    total, term, k = 1.0, 1.0, 0
-    q = 0.25 * x * x
-    while term > 1e-18 * total and k < 1000:
-        k += 1
-        term *= q / (k * k)
-        total += term
-    return total
-
-
-def marcum_by_quadrature(a: float, b: float) -> float:
-    """Adaptive quadrature of the defining integral, scaled-Bessel form.
-
-    The integrand peaks near t = a, so the range must cover it even when
-    b < a; splitting at the peak keeps the adaptive error estimate tight.
-    """
-    f = lambda t: t * math.exp(-0.5 * (t - a) ** 2) * i0e(a * t)
-    hi = max(a, b) + 45.0
-    if b < a:
-        v1, e1 = quad(f, b, a, epsabs=1e-13, epsrel=1e-13, limit=600)
-        v2, e2 = quad(f, a, hi, epsabs=1e-13, epsrel=1e-13, limit=600)
-        val, err = v1 + v2, e1 + e2
-    else:
-        val, err = quad(f, b, hi, epsabs=1e-13, epsrel=1e-13, limit=600)
-    assert err < 5e-10
-    return val
+from mmwcluster.validate import i0_series, marcum_by_quadrature
 
 
 class TestBesselI0:
@@ -80,6 +52,8 @@ class TestBesselI0:
 class TestMarcumQ1:
     def test_b_zero_is_one(self):
         assert marcum_q1(3.0, 0.0) == pytest.approx(1.0, abs=1e-14)
+        # the noncentral chi-square survival function returns -0.0 here
+        assert marcum_q1(50.0, 0.0) == 1.0
 
     def test_a_zero_is_rayleigh_tail(self):
         assert marcum_q1(0.0, 2.0) == pytest.approx(math.exp(-2.0), abs=1e-14)
@@ -114,6 +88,22 @@ class TestMarcumQ1:
         q = marcum_q1(50.0, 49.0)
         assert 0.0 < q < 1.0
         assert q == pytest.approx(marcum_by_quadrature(50.0, 49.0), abs=1e-9)
+        # large noncentrality with a tiny threshold overflows Boost's tgamma
+        # inside the noncentral chi-square survival function
+        q = marcum_q1(18.46, 4.87e-5)
+        assert math.isfinite(q)
+        assert q == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("a", [0.5, 5.0, 15.0, 25.0])
+    @pytest.mark.parametrize("d", [2.0, 6.0, 10.0, 12.0])
+    def test_relative_accuracy_in_upper_tail(self, a, d):
+        # b > a: the range where the bound divides by Q1 as a normalizer, with
+        # values down to ~1e-33, so an absolute tolerance would say nothing
+        b = a + d
+        ref, err = quad(lambda t: t * math.exp(-0.5 * (t - a) ** 2) * i0e(a * t),
+                        b, b + 45.0, epsabs=0.0, epsrel=1e-13)
+        assert err < 1e-12 * ref
+        assert marcum_q1(a, b) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
