@@ -10,9 +10,11 @@ Every bound has the shape
 with t = n * gamma_th * eta * r^alpha / (intercept * boresight_gain), where
 ``eta`` is the coefficient of the tight Gamma-CDF exponential bound.  Both
 Laplace transforms depend on (s, n) only through the product t, which lets
-the expensive inter-cluster transform be tabulated once per configuration on
-a log grid of t and interpolated (monotone cubic in log-log), instead of
-being re-integrated inside every coverage integrand evaluation.
+the expensive inter-cluster transform be tabulated instead of re-integrated
+inside every coverage integrand evaluation.  Its inner integral I(t, v) does
+not depend on the load, so it is tabulated once per geometry on a log grid of
+t; each load then gets its own interpolant of the exponent (monotone cubic in
+log-log), built from that table in milliseconds.
 
 All inner integrals run on fixed Gauss-Legendre panel templates scaled to
 the relevant Rayleigh/Rician support; infinite limits are truncated where
@@ -23,6 +25,7 @@ quadrature tolerances).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -187,66 +190,86 @@ def _kernel_grid(t: np.ndarray, w: np.ndarray, gains, probs, ch: ChannelParams,
 # ---------------------------------------------------------------------------
 
 
-def _inter_exponent(cfg: NetworkConfig, quad: QuadratureSpec,
-                    t_vals: np.ndarray) -> np.ndarray:
-    """Exponent h(t) with L_inter(t) = exp(-h(t)).
+def _inter_integrals(cfg: NetworkConfig, quad: QuadratureSpec, t: np.ndarray,
+                     loads) -> tuple[np.ndarray, np.ndarray]:
+    """Inner integrals I(t_k, v_j), shape (t, node), and outer weights
+    v_j * w_j, shape (node,), of the inter-cluster exponent at positive ``t``.
 
-    h(t) = 2 pi lambda_p * integral_0^inf (1 - exp(-mean_active * I(t, v))) v dv
-    where I(t, v) integrates the interferer kernel against the Rician law of
-    device distances in a cluster at center distance v.  The outer integral
-    is extended by geometric panels until the measured power-law tail is
-    negligible.
+    I(t, v) integrates the interferer kernel against the Rician law of device
+    distances in a cluster at center distance v; it does not depend on the
+    load.  The outer integral is extended by geometric panels until the
+    measured power-law tail is negligible at every load in ``loads``.
     """
     ch = cfg.channel
-    if ch.alpha_nlos <= 2.0:
+    sigma = cfg.scatter_std
+    cut = quad.tail_cutoff_sigmas
+    gains, probs = cfg.gain_table().as_arrays()
+    load = np.asarray(loads, dtype=float)[:, None, None]
+    pref = 2.0 * math.pi * cfg.parent_density
+    # few arguments: evaluate several outer panels per kernel call, since the
+    # per-call overhead then outweighs the panels computed past convergence
+    batch = max(1, _PANEL_BATCH // t.size)
+
+    def panel_integrals(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """I of each panel, shape (t, panel, v), and v * w, shape (panel, v)."""
+        vwv, w, pdf_w = _inter_panels(edges, sigma, cut)
+        inner = np.empty((t.size,) + vwv.shape)
+        for k0 in range(0, t.size, 16):
+            sl = slice(k0, min(k0 + 16, t.size))
+            kern = _kernel_grid(t[sl, None, None, None], w[None], gains, probs, ch)
+            inner[sl] = np.einsum("kpvw,pvw->kpv", kern, pdf_w)
+        return inner, vwv
+
+    inner, vwv = panel_integrals(tuple(e * sigma for e in (0.0, 1.0, 2.0, 4.0, 8.0, cut)))
+    inners, weights = [inner], [vwv]
+    h = _inter_sum(cfg, inner.reshape(t.size, -1), vwv.ravel(), load)
+    edges = [cut * sigma]
+    while len(edges) <= quad.max_subdivisions:
+        start = len(edges) - 1
+        for _ in range(min(batch, quad.max_subdivisions + 1 - len(edges))):
+            edges.append(edges[-1] * 1.6)
+        inner, vwv = panel_integrals(tuple(edges[start:]))
+        for p in range(vwv.shape[0]):
+            h += _inter_sum(cfg, inner[:, p], vwv[p], load)
+            # endpoint integrand density times the power-law tail length
+            edge = edges[start + p + 1]
+            tail = -pref * np.expm1(-load[..., 0] * inner[:, p, -1]) * edge * edge \
+                / (ch.alpha_nlos - 2.0)
+            if np.all(tail < np.maximum(0.1 * quad.abs_tol, 3e-5 * h)):
+                inners.append(inner[:, :p + 1])
+                weights.append(vwv[:p + 1])
+                return (np.concatenate([i.reshape(t.size, -1) for i in inners], axis=1),
+                        np.concatenate([wt.ravel() for wt in weights]))
+        inners.append(inner)
+        weights.append(vwv)
+    raise NumericalError("outer inter-cluster integral did not converge",
+                         value=float(np.max(h)))
+
+
+def _inter_sum(cfg: NetworkConfig, inner: np.ndarray, vw: np.ndarray,
+               load) -> np.ndarray:
+    """h = 2 pi lambda_p * sum_j (1 - exp(-load * I(t, v_j))) v_j w_j, with
+    ``load`` broadcast against ``inner``.  expm1 keeps the terms of tiny t,
+    where 1 - exp rounds to a few digits or to 0."""
+    return 2.0 * math.pi * cfg.parent_density * ((-np.expm1(-load * inner)) @ vw)
+
+
+def _inter_exponent(cfg: NetworkConfig, quad: QuadratureSpec,
+                    t_vals: np.ndarray) -> np.ndarray:
+    """Exponent h(t) with L_inter(t) = exp(-h(t)) at the load ``mean_active``.
+
+    h(t) = 2 pi lambda_p * integral_0^inf (1 - exp(-mean_active * I(t, v))) v dv.
+    """
+    if cfg.channel.alpha_nlos <= 2.0:
         raise NumericalError("inter-cluster integral diverges for alpha_nlos <= 2")
     t = np.asarray(t_vals, dtype=float)
     out = np.zeros(t.shape)
     pos = t > 0.0
     if not np.any(pos):
         return out
-    tp = t[pos]
-
-    sigma = cfg.scatter_std
-    cut = quad.tail_cutoff_sigmas
-    gains, probs = cfg.gain_table().as_arrays()
-    sbar = cfg.mean_active
-    pref = 2.0 * math.pi * cfg.parent_density
-    # few arguments: evaluate several outer panels per kernel call, since the
-    # per-call overhead then outweighs the panels computed past convergence
-    batch = max(1, _PANEL_BATCH // tp.size)
-
-    def panel_values(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Contribution and endpoint density of each panel, shape (t, panel)."""
-        vwv, w, pdf_w = _inter_panels(edges, sigma, cut)
-        inner = np.empty((tp.size,) + vwv.shape)
-        for k0 in range(0, tp.size, 16):
-            sl = slice(k0, min(k0 + 16, tp.size))
-            kern = _kernel_grid(tp[sl, None, None, None], w[None], gains, probs, ch)
-            inner[sl] = np.einsum("kpvw,pvw->kpv", kern, pdf_w)
-        contrib = pref * np.sum((1.0 - np.exp(-sbar * inner)) * vwv, axis=-1)
-        # endpoint integrand density, used for the power-law tail estimate
-        end = pref * (1.0 - np.exp(-sbar * inner[..., -1])) * np.asarray(edges[1:])
-        return contrib, end
-
-    h = np.zeros(tp.size)
-    contrib, _ = panel_values(tuple(e * sigma for e in (0.0, 1.0, 2.0, 4.0, 8.0, cut)))
-    for p in range(contrib.shape[1]):
-        h += contrib[:, p]
-    edges = [cut * sigma]
-    while len(edges) <= quad.max_subdivisions:
-        start = len(edges) - 1
-        for _ in range(min(batch, quad.max_subdivisions + 1 - len(edges))):
-            edges.append(edges[-1] * 1.6)
-        contrib, end = panel_values(tuple(edges[start:]))
-        for p in range(contrib.shape[1]):
-            h += contrib[:, p]
-            tail = end[:, p] * edges[start + p + 1] / (ch.alpha_nlos - 2.0)
-            if np.all(tail < np.maximum(0.1 * quad.abs_tol, 3e-5 * h)):
-                out[pos] = h
-                return out
-    raise NumericalError("outer inter-cluster integral did not converge",
-                         value=float(np.max(h)))
+    inner, vw = _inter_integrals(cfg, quad, t[pos], (cfg.mean_active,))
+    out[pos] = _inter_sum(cfg, inner, vw, cfg.mean_active)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -267,84 +290,107 @@ def _inter_panels(edges: tuple[float, ...], sigma: float, cut: float):
 
 
 class _InterTable:
-    """log-log monotone-cubic table of the inter-cluster exponent h(t)."""
+    """Inter-cluster exponent h(t) of one geometry at any load: the inner
+    integrals I(t, v) on a log grid of t, shared by every load, and per load
+    a log-log monotone-cubic fit of h built from them."""
 
     _H_FLOOR = 1e-10
     _H_CAP = 60.0
 
     def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
         self._cfg = cfg
-        self._quad = quad
+        self._rel_tol = quad.rel_tol
         ch = cfg.channel
         gains, _ = cfg.gain_table().as_arrays()
         # probe scale: t at which the strongest gain outcome reaches the
         # fading knee at a typical device distance
         t0 = ch.nakagami_los * (math.sqrt(2.0) * cfg.scatter_std) ** ch.alpha_los \
             / (max(gains) * ch.intercept_los)
+        # h grows with the load, so the floor is probed at the largest load
+        # and the cap at the smallest, and both then hold at every load
+        top = float(cfg.cluster_tx_count)
         lo, hi = t0, t0
         for _ in range(60):
-            if float(_inter_exponent(cfg, quad, np.array([lo]))[0]) <= self._H_FLOOR:
+            if float(_inter_exponent(cfg.with_mean_active(top), quad,
+                                     np.array([lo]))[0]) <= self._H_FLOOR:
                 break
             lo /= 10.0
         for _ in range(60):
-            if float(_inter_exponent(cfg, quad, np.array([hi]))[0]) >= self._H_CAP:
+            if float(_inter_exponent(cfg.with_mean_active(1.0), quad,
+                                     np.array([hi]))[0]) >= self._H_CAP:
                 break
             hi *= 10.0
         n_pts = max(int(math.ceil(10.0 * math.log10(hi / lo))) + 1, 8)
-        log_t = np.linspace(math.log(lo), math.log(hi), n_pts)
-        h = _inter_exponent(cfg, quad, np.exp(log_t))
+        # the fit grid (even entries) and its midpoints (odd entries).  The tail
+        # rule is met at the smallest and the largest load; h is concave in the
+        # load and the tail linear, so it is met at every load between.
+        self._log_t = np.linspace(math.log(lo), math.log(hi), 2 * n_pts - 1)
+        self._inner, self._vw = _inter_integrals(cfg, quad, np.exp(self._log_t),
+                                                 (1.0, top))
+        # one fit per load asked for, at most 64 (a scan over every active
+        # count of a 64-transmitter cluster keeps all of its fits)
+        self._fit = lru_cache(maxsize=64)(self._fit_load)
 
-        # refinement pass: verify the interpolant at panel midpoints, densify once if needed
-        for _ in range(2):
-            interp = PchipInterpolator(log_t, np.log(h))
-            mid = 0.5 * (log_t[:-1] + log_t[1:])
-            exact = _inter_exponent(cfg, quad, np.exp(mid))
-            approx = np.exp(interp(mid))
-            err = np.abs(approx - exact) / np.maximum(np.abs(exact), 1e-300)
-            if np.max(err) <= 10.0 * quad.rel_tol:
-                break
-            log_t = np.sort(np.concatenate([log_t, mid]))
-            h = _inter_exponent(cfg, quad, np.exp(log_t))
-        self._interp = PchipInterpolator(log_t, np.log(h))
-        self._log_lo = log_t[0]
-        self._log_hi = log_t[-1]
-        self._h_lo = h[0]
-        self._h_hi = h[-1]
-        d0, d1 = self._interp(np.array([self._log_lo, self._log_hi]), nu=1)
-        self._slope_lo = float(d0)
-        self._slope_hi = float(d1)
+    def _fit_load(self, load: float):
+        """Fit of log h over log t at one load, and its two end slopes."""
+        h = _inter_sum(self._cfg, self._inner, self._vw, load)
+        log_h = np.log(h)
+        interp = PchipInterpolator(self._log_t[::2], log_h[::2])
+        # verify the fit at the midpoints; densify with them if needed
+        exact = h[1::2]
+        err = np.abs(np.exp(interp(self._log_t[1::2])) - exact) \
+            / np.maximum(np.abs(exact), 1e-300)
+        if np.max(err) > 10.0 * self._rel_tol:
+            interp = PchipInterpolator(self._log_t, log_h)
+        slope_lo, slope_hi = interp(self._log_t[[0, -1]], nu=1)
+        return interp, float(slope_lo), float(slope_hi)
 
-    def exponent(self, t) -> np.ndarray:
+    def exponent(self, t, load: float) -> np.ndarray:
+        interp, slope_lo, slope_hi = self._fit(float(load))
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape)
         pos = t_arr > 0.0
-        if not np.any(pos):
-            return out
         log_t = np.log(t_arr[pos])
-        vals = np.empty(log_t.shape)
-        below = log_t < self._log_lo
-        above = log_t > self._log_hi
-        mid = ~(below | above)
-        vals[mid] = np.exp(self._interp(log_t[mid]))
-        # power-law continuation using the end slopes of the fit
-        vals[below] = self._h_lo * np.exp(self._slope_lo * (log_t[below] - self._log_lo))
-        vals[above] = self._h_hi * np.exp(self._slope_hi * (log_t[above] - self._log_hi))
-        out[pos] = vals
+        x = np.clip(log_t, self._log_t[0], self._log_t[-1])
+        # power-law continuation beyond the grid, using the end slopes of the fit
+        slope = np.where(log_t < x, slope_lo, slope_hi)
+        out[pos] = np.exp(interp(x) + slope * (log_t - x))
         return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _inter_table(cfg: NetworkConfig, quad: QuadratureSpec) -> _InterTable:
-    # a full load scan (cluster sizes up to 40) fits, so scanning again at
-    # another threshold reuses every table
+    # a table holds about 0.6 MB of inner integrals (421 t-points by 176
+    # center nodes at the defaults); the built-in figure presets with an
+    # analytical engine use 9 geometries, so all of them fit
     return _InterTable(cfg, quad)
 
 
+_TABLE_BUILDS_LOCK = threading.Lock()
+_TABLE_BUILDS: dict = {}
+
+
+def _geometry_table(cfg: NetworkConfig, quad: QuadratureSpec) -> _InterTable:
+    """The cached table of ``cfg``'s geometry.  Concurrent callers on a cold
+    geometry wait for one build (``lru_cache`` does not merge concurrent
+    misses), while builds of other geometries go ahead."""
+    key = (_inter_table_key(cfg), quad)
+    with _TABLE_BUILDS_LOCK:
+        build = _TABLE_BUILDS.setdefault(key, threading.Lock())
+    with build:
+        table = _inter_table(*key)
+    with _TABLE_BUILDS_LOCK:
+        if _TABLE_BUILDS.get(key) is build:
+            del _TABLE_BUILDS[key]
+    return table
+
+
 def _inter_table_key(cfg: NetworkConfig) -> NetworkConfig:
-    """Strip fields the inter-cluster transform does not depend on, so sweeps
-    over threshold or boresight gain reuse the cached table."""
+    """Strip the fields the inter-cluster table does not depend on (load,
+    threshold, boresight gain and noise), so sweeps over them reuse it."""
     from dataclasses import replace
-    return replace(cfg, gamma_th_db=0.0, boresight_gain=None, noise_power=0.0)
+    return replace(cfg, gamma_th_db=0.0, boresight_gain=None, noise_power=0.0,
+                   mean_active=1.0)
 
 
 def laplace_inter(n: int, s: float, cfg: NetworkConfig,
@@ -519,7 +565,7 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
     alphas = np.array([br.alpha for br in branches])[:, None, None]
     los_mask = np.array([br.is_los for br in branches])[:, None, None]
 
-    table = _inter_table(_inter_table_key(cfg), quad) if no_assumption2 else None
+    table = _geometry_table(cfg, quad) if no_assumption2 else None
 
     # distance law: center-distance nodes, their weights times the center
     # density, the serving-distance limit per node, the untruncated w-rule
@@ -553,7 +599,7 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
             factor = np.exp(-(sbar - 1.0) * _intra_exponent(model, t, v, r, flags,
                                                             cfg, quad, w_rule))
         if table is not None:
-            factor = factor * np.exp(-table.exponent(t))
+            factor = factor * np.exp(-table.exponent(t, sbar))
         if no_assumption2 and cfg.noise_power > 0.0:
             factor = factor * np.exp(-t * cfg.noise_power)
         # serving-link blockage weights per branch
@@ -653,9 +699,11 @@ def optimize_mean_active(model: AssociationModel, gamma_th: float,
                          coverage_fn=None) -> tuple[int, float]:
     """Exhaustive scan of the mean active-transmitter count for maximum ASE.
 
-    Returns (argmax, max ASE); ties break toward the smaller count.  The
-    optional ``coverage_fn(cfg) -> float`` hook replaces the analytical
-    coverage evaluation (used by tests and by Monte Carlo-driven scans).
+    Returns (argmax, max ASE); ties break toward the smaller count.  Every
+    load of the scan shares one inter-cluster table, since the table is kept
+    per geometry.  The optional ``coverage_fn(cfg) -> float`` hook replaces the
+    analytical coverage evaluation (used by tests and by Monte Carlo-driven
+    scans).
     """
     if cfg is None:
         raise UsageError("cfg is required")

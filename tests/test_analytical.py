@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from mmwcluster import analytical
 from mmwcluster.analytical import (
     CoverageFlags,
     QuadratureSpec,
@@ -22,7 +25,7 @@ from mmwcluster.analytical import (
     lower_bound_constants,
     optimize_mean_active,
 )
-from mmwcluster.config import config_with_carrier, default_config
+from mmwcluster.config import apply_override, config_with_carrier, default_config
 from mmwcluster.errors import UsageError
 from mmwcluster.model import AssociationModel
 from mmwcluster.special import marcum_q1, rician_pdf
@@ -186,6 +189,80 @@ class TestLaplaceInter:
         vals = [laplace_inter(1, m * s0, cfg) for m in (0.0, 0.3, 1.0, 3.0, 10.0)]
         assert all(0.0 < x <= 1.0 for x in vals)
         assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
+
+
+class TestInterTable:
+    """One inter-cluster table per geometry serves every load."""
+
+    # laplace_inter(n, m * s_ref) at (scatter, load) for (n, m) in
+    # ((1, 0.3), (1, 1.0), (2, 1.5)); reference values of the direct transform
+    RECORDED = [
+        (10.0, 1.0, [0.9658111785530132, 0.9399555065902105, 0.9053209076693307]),
+        (10.0, 5.0, [0.8556871158087869, 0.7692902455194705, 0.6720846299976796]),
+        (10.0, 40.0, [0.4939134827703653, 0.3543999537809758, 0.24284476849096792]),
+        (20.0, 1.0, [0.9333873981831741, 0.8909206866256767, 0.839686035240941]),
+        (20.0, 5.0, [0.7311212010761852, 0.6069152652628337, 0.4877154681679904]),
+        (20.0, 40.0, [0.24165970844053605, 0.1452881278950427, 0.08534678759353777]),
+    ]
+
+    @pytest.mark.parametrize("sigma, load, values", RECORDED)
+    def test_laplace_inter_unchanged(self, cfg, sigma, load, values):
+        c = replace(cfg, scatter_std=sigma, mean_active=load)
+        s_ref = reference_laplace_argument(c)
+        got = [laplace_inter(n, m * s_ref, c) for n, m in ((1, 0.3), (1, 1.0), (2, 1.5))]
+        assert got == pytest.approx(values, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [10.0, 20.0])
+    def test_table_matches_direct_transform_at_every_load(self, cfg, sigma):
+        geometry = replace(cfg, scatter_std=sigma)
+        spec = QuadratureSpec()
+        table = analytical._inter_table(analytical._inter_table_key(geometry), spec)
+        # spans the table, with most points between its grid nodes
+        t = np.exp(np.linspace(table._log_t[0], table._log_t[-1], 97))
+        for load in (1.0, 2.5, float(cfg.cluster_tx_count)):
+            direct = analytical._inter_exponent(geometry.with_mean_active(load), spec, t)
+            # 3e-5 is the relative tolerance of the outer tail rule
+            assert table.exponent(t, load) == pytest.approx(direct, rel=3e-5, abs=0.0)
+
+    def test_load_scan_builds_one_table(self, cfg):
+        analytical._inter_table.cache_clear()
+        optimize_mean_active(AssociationModel.UNIFORM, 100.0,
+                             CoverageFlags(use_assumption1=True), cfg)
+        assert analytical._inter_table.cache_info().misses == 1
+
+
+class TestApproxBoundProperties:
+    """Invariants of the approx bound over randomized configurations."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(sigma=st.floats(5.0, 40.0), density_km2=st.floats(20.0, 600.0),
+           tx_count=st.integers(2, 60), main_db=st.floats(0.0, 25.0),
+           side_db=st.floats(-25.0, 0.0), gamma_db=st.floats(-5.0, 35.0),
+           step_db=st.floats(0.5, 10.0), load_frac=st.floats(0.0, 1.0),
+           load_step=st.floats(0.5, 10.0))
+    def test_in_unit_interval_and_non_increasing(self, sigma, density_km2, tx_count,
+                                                 main_db, side_db, gamma_db, step_db,
+                                                 load_frac, load_step):
+        c = default_config()
+        for key, value in (("mean_active", 1.0), ("cluster_tx_count", tx_count),
+                           ("scatter_std", sigma), ("parent_density_per_km2", density_km2),
+                           ("tx_main_lobe_db", main_db), ("tx_side_lobe_db", side_db)):
+            c = apply_override(c, key, value)
+        flags = CoverageFlags(use_assumption1=True)
+        quad_spec = QuadratureSpec()
+        load = 1.0 + load_frac * (tx_count - 1)
+        heavier = min(float(tx_count), load + load_step)
+        gamma, stricter = 10.0 ** (gamma_db / 10.0), 10.0 ** ((gamma_db + step_db) / 10.0)
+
+        def bound(g, s):
+            # unclamped, so that the [0, 1] check is not vacuous
+            return analytical._coverage_raw(AssociationModel.UNIFORM, g, flags,
+                                            c.with_mean_active(s), quad_spec)
+
+        base = bound(gamma, load)
+        assert -1e-9 <= base <= 1.0 + 1e-9
+        assert bound(stricter, load) <= base + 1e-9, "must not increase with threshold"
+        assert bound(gamma, heavier) <= base + 1e-9, "must not increase with load"
 
 
 class TestCoverage:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from mmwcluster import analytical
 from mmwcluster.analytical import ase_from_coverage
 from mmwcluster.cli import main as cli_main
 from mmwcluster.config import (
@@ -197,6 +198,20 @@ class TestSweep:
         a = run_sweep(cfg, spec, tmp_path / "a.csv", seed=3, trials=500, threads=1)
         b = run_sweep(cfg, spec, tmp_path / "b.csv", seed=3, trials=500, threads=8)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_build_each_table_once(self, cfg, tmp_path):
+        # both threads start on the same cold geometry: one builds the
+        # inter-cluster table and the other waits for it
+        analytical._inter_table.cache_clear()
+        spec = SweepSpec(axis="gamma_th_db", values=(0.0, 5.0, 10.0, 15.0),
+                         models=(AssociationModel.UNIFORM,), engines=("analytical_approx",))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_sweep(cfg, spec, tmp_path / "s.csv", threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert analytical._inter_table.cache_info().misses == 1
 
     def test_upper_bound_labels(self, cfg, tmp_path):
         out = run_sweep(cfg, self._tiny_spec(), tmp_path / "s.csv", seed=3, trials=500)
