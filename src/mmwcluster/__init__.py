@@ -26,7 +26,6 @@ from .model import (
 from .special import bessel_i0, bessel_i0_scaled, marcum_q1, rayleigh_pdf, rician_pdf
 from .analytical import (
     CoverageFlags,
-    QuadratureSpec,
     ase,
     coverage,
     coverage_lower_bound,
@@ -60,7 +59,6 @@ __all__ = [
     "IidExponential",
     "LosBall",
     "NetworkConfig",
-    "QuadratureSpec",
     "SinrOptions",
     "ase",
     "bessel_i0",

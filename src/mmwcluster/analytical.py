@@ -17,9 +17,11 @@ t; each load then gets its own interpolant of the exponent (monotone cubic in
 log-log), built from that table in milliseconds.
 
 All inner integrals run on fixed Gauss-Legendre panel templates scaled to
-the relevant Rayleigh/Rician support; infinite limits are truncated where
-the weight densities' remaining tail mass is negligible (far below the
-quadrature tolerances).
+the relevant Rayleigh/Rician support; infinite limits are truncated
+``_TAIL_SIGMAS`` scatter deviations out, where the weight densities' remaining
+tail mass is negligible.  These templates and the named constants beside them
+are the whole quadrature setting: the engine takes no tolerances.  Every
+intra-cluster distance law comes from :mod:`.model`.
 """
 
 from __future__ import annotations
@@ -39,14 +41,15 @@ from .model import (
     ChannelParams,
     GainTable,
     NetworkConfig,
+    cluster_center_distance_pdf,
+    interferer_distance_pdf,
     serving_distance_pdf,
     serving_distance_pdf_approx,
 )
 from ._quadrature import gl_nodes, relative_template
-from .special import marcum_q1, rayleigh_pdf, rician_pdf
+from .special import rician_pdf
 
 __all__ = [
-    "QuadratureSpec",
     "CoverageFlags",
     "LowerBoundConstants",
     "gamma_cdf_bound_coefficient",
@@ -60,22 +63,6 @@ __all__ = [
     "ase",
     "optimize_mean_active",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and truncation controls for the nested integrals."""
-
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-6
-    tail_cutoff_sigmas: float = 12.0
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.tail_cutoff_sigmas < 6.0:
-            raise ValueError("tail_cutoff_sigmas must be >= 6")
 
 
 @dataclass(frozen=True)
@@ -108,7 +95,15 @@ def gamma_cdf_bound_coefficient(shape: int) -> float:
     return shape * math.exp(-math.lgamma(shape + 1.0) / shape)
 
 
-_DEFAULT_QUAD = QuadratureSpec()
+# Truncation: distance integrals stop this many scatter deviations past the
+# center distance.  The outer inter-cluster integral grows by geometric panels,
+# at most _MAX_PANELS of them, until its estimated power-law tail is below
+# max(_TAIL_FLOOR, 3e-5 * h).  A per-load fit of the inter-cluster exponent is
+# densified when it misses a grid midpoint by more than _FIT_RTOL relative.
+_TAIL_SIGMAS = 12.0
+_TAIL_FLOOR = 1e-9
+_MAX_PANELS = 200
+_FIT_RTOL = 10.0 * 1e-6
 
 # Panel templates (fractions of the integration interval, Gauss-Legendre
 # order).  The serving-distance template packs panels near zero because the
@@ -190,7 +185,7 @@ def _kernel_grid(t: np.ndarray, w: np.ndarray, gains, probs, ch: ChannelParams,
 # ---------------------------------------------------------------------------
 
 
-def _inter_integrals(cfg: NetworkConfig, quad: QuadratureSpec, t: np.ndarray,
+def _inter_integrals(cfg: NetworkConfig, t: np.ndarray,
                      loads) -> tuple[np.ndarray, np.ndarray]:
     """Inner integrals I(t_k, v_j), shape (t, node), and outer weights
     v_j * w_j, shape (node,), of the inter-cluster exponent at positive ``t``.
@@ -202,7 +197,6 @@ def _inter_integrals(cfg: NetworkConfig, quad: QuadratureSpec, t: np.ndarray,
     """
     ch = cfg.channel
     sigma = cfg.scatter_std
-    cut = quad.tail_cutoff_sigmas
     gains, probs = cfg.gain_table().as_arrays()
     load = np.asarray(loads, dtype=float)[:, None, None]
     pref = 2.0 * math.pi * cfg.parent_density
@@ -212,7 +206,7 @@ def _inter_integrals(cfg: NetworkConfig, quad: QuadratureSpec, t: np.ndarray,
 
     def panel_integrals(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
         """I of each panel, shape (t, panel, v), and v * w, shape (panel, v)."""
-        vwv, w, pdf_w = _inter_panels(edges, sigma, cut)
+        vwv, w, pdf_w = _inter_panels(edges, sigma)
         inner = np.empty((t.size,) + vwv.shape)
         for k0 in range(0, t.size, 16):
             sl = slice(k0, min(k0 + 16, t.size))
@@ -220,13 +214,13 @@ def _inter_integrals(cfg: NetworkConfig, quad: QuadratureSpec, t: np.ndarray,
             inner[sl] = np.einsum("kpvw,pvw->kpv", kern, pdf_w)
         return inner, vwv
 
-    inner, vwv = panel_integrals(tuple(e * sigma for e in (0.0, 1.0, 2.0, 4.0, 8.0, cut)))
+    inner, vwv = panel_integrals(tuple(e * sigma for e in (0.0, 1.0, 2.0, 4.0, 8.0, _TAIL_SIGMAS)))
     inners, weights = [inner], [vwv]
     h = _inter_sum(cfg, inner.reshape(t.size, -1), vwv.ravel(), load)
-    edges = [cut * sigma]
-    while len(edges) <= quad.max_subdivisions:
+    edges = [_TAIL_SIGMAS * sigma]
+    while len(edges) <= _MAX_PANELS:
         start = len(edges) - 1
-        for _ in range(min(batch, quad.max_subdivisions + 1 - len(edges))):
+        for _ in range(min(batch, _MAX_PANELS + 1 - len(edges))):
             edges.append(edges[-1] * 1.6)
         inner, vwv = panel_integrals(tuple(edges[start:]))
         for p in range(vwv.shape[0]):
@@ -235,7 +229,7 @@ def _inter_integrals(cfg: NetworkConfig, quad: QuadratureSpec, t: np.ndarray,
             edge = edges[start + p + 1]
             tail = -pref * np.expm1(-load[..., 0] * inner[:, p, -1]) * edge * edge \
                 / (ch.alpha_nlos - 2.0)
-            if np.all(tail < np.maximum(0.1 * quad.abs_tol, 3e-5 * h)):
+            if np.all(tail < np.maximum(_TAIL_FLOOR, 3e-5 * h)):
                 inners.append(inner[:, :p + 1])
                 weights.append(vwv[:p + 1])
                 return (np.concatenate([i.reshape(t.size, -1) for i in inners], axis=1),
@@ -254,8 +248,7 @@ def _inter_sum(cfg: NetworkConfig, inner: np.ndarray, vw: np.ndarray,
     return 2.0 * math.pi * cfg.parent_density * ((-np.expm1(-load * inner)) @ vw)
 
 
-def _inter_exponent(cfg: NetworkConfig, quad: QuadratureSpec,
-                    t_vals: np.ndarray) -> np.ndarray:
+def _inter_exponent(cfg: NetworkConfig, t_vals: np.ndarray) -> np.ndarray:
     """Exponent h(t) with L_inter(t) = exp(-h(t)) at the load ``mean_active``.
 
     h(t) = 2 pi lambda_p * integral_0^inf (1 - exp(-mean_active * I(t, v))) v dv.
@@ -267,13 +260,13 @@ def _inter_exponent(cfg: NetworkConfig, quad: QuadratureSpec,
     pos = t > 0.0
     if not np.any(pos):
         return out
-    inner, vw = _inter_integrals(cfg, quad, t[pos], (cfg.mean_active,))
+    inner, vw = _inter_integrals(cfg, t[pos], (cfg.mean_active,))
     out[pos] = _inter_sum(cfg, inner, vw, cfg.mean_active)
     return out
 
 
 @lru_cache(maxsize=64)
-def _inter_panels(edges: tuple[float, ...], sigma: float, cut: float):
+def _inter_panels(edges: tuple[float, ...], sigma: float):
     """Outer panels [edges[i], edges[i+1]] of the inter-cluster integral:
     center-distance nodes times their weights, and the device-distance nodes
     and Rician weights at each center node (leading axis: panel)."""
@@ -282,8 +275,8 @@ def _inter_panels(edges: tuple[float, ...], sigma: float, cut: float):
     lo = np.asarray(edges[:-1])[:, None]
     width = np.asarray(edges[1:])[:, None] - lo
     v = lo + width * u_v
-    w_lo = np.maximum(v - cut * sigma, 0.0)
-    w_span = (v + cut * sigma - w_lo)[..., None]
+    w_lo = np.maximum(v - _TAIL_SIGMAS * sigma, 0.0)
+    w_span = (v + _TAIL_SIGMAS * sigma - w_lo)[..., None]
     w = w_lo[..., None] + w_span * u_w
     pdf_w = rician_pdf(w, v[..., None], sigma * sigma) * (w_span * w_w)
     return v * (width * w_v), w, pdf_w
@@ -297,9 +290,8 @@ class _InterTable:
     _H_FLOOR = 1e-10
     _H_CAP = 60.0
 
-    def __init__(self, cfg: NetworkConfig, quad: QuadratureSpec):
+    def __init__(self, cfg: NetworkConfig):
         self._cfg = cfg
-        self._rel_tol = quad.rel_tol
         ch = cfg.channel
         gains, _ = cfg.gain_table().as_arrays()
         # probe scale: t at which the strongest gain outcome reaches the
@@ -311,12 +303,12 @@ class _InterTable:
         top = float(cfg.cluster_tx_count)
         lo, hi = t0, t0
         for _ in range(60):
-            if float(_inter_exponent(cfg.with_mean_active(top), quad,
+            if float(_inter_exponent(cfg.with_mean_active(top),
                                      np.array([lo]))[0]) <= self._H_FLOOR:
                 break
             lo /= 10.0
         for _ in range(60):
-            if float(_inter_exponent(cfg.with_mean_active(1.0), quad,
+            if float(_inter_exponent(cfg.with_mean_active(1.0),
                                      np.array([hi]))[0]) >= self._H_CAP:
                 break
             hi *= 10.0
@@ -325,8 +317,7 @@ class _InterTable:
         # rule is met at the smallest and the largest load; h is concave in the
         # load and the tail linear, so it is met at every load between.
         self._log_t = np.linspace(math.log(lo), math.log(hi), 2 * n_pts - 1)
-        self._inner, self._vw = _inter_integrals(cfg, quad, np.exp(self._log_t),
-                                                 (1.0, top))
+        self._inner, self._vw = _inter_integrals(cfg, np.exp(self._log_t), (1.0, top))
         # one fit per load asked for, at most 64 (a scan over every active
         # count of a 64-transmitter cluster keeps all of its fits)
         self._fit = lru_cache(maxsize=64)(self._fit_load)
@@ -340,7 +331,7 @@ class _InterTable:
         exact = h[1::2]
         err = np.abs(np.exp(interp(self._log_t[1::2])) - exact) \
             / np.maximum(np.abs(exact), 1e-300)
-        if np.max(err) > 10.0 * self._rel_tol:
+        if np.max(err) > _FIT_RTOL:
             interp = PchipInterpolator(self._log_t, log_h)
         slope_lo, slope_hi = interp(self._log_t[[0, -1]], nu=1)
         return interp, float(slope_lo), float(slope_hi)
@@ -359,26 +350,26 @@ class _InterTable:
 
 
 @lru_cache(maxsize=16)
-def _inter_table(cfg: NetworkConfig, quad: QuadratureSpec) -> _InterTable:
+def _inter_table(cfg: NetworkConfig) -> _InterTable:
     # a table holds about 0.6 MB of inner integrals (421 t-points by 176
     # center nodes at the defaults); the built-in figure presets with an
     # analytical engine use 9 geometries, so all of them fit
-    return _InterTable(cfg, quad)
+    return _InterTable(cfg)
 
 
 _TABLE_BUILDS_LOCK = threading.Lock()
 _TABLE_BUILDS: dict = {}
 
 
-def _geometry_table(cfg: NetworkConfig, quad: QuadratureSpec) -> _InterTable:
+def _geometry_table(cfg: NetworkConfig) -> _InterTable:
     """The cached table of ``cfg``'s geometry.  Concurrent callers on a cold
     geometry wait for one build (``lru_cache`` does not merge concurrent
     misses), while builds of other geometries go ahead."""
-    key = (_inter_table_key(cfg), quad)
+    key = _inter_table_key(cfg)
     with _TABLE_BUILDS_LOCK:
         build = _TABLE_BUILDS.setdefault(key, threading.Lock())
     with build:
-        table = _inter_table(*key)
+        table = _inter_table(key)
     with _TABLE_BUILDS_LOCK:
         if _TABLE_BUILDS.get(key) is build:
             del _TABLE_BUILDS[key]
@@ -393,8 +384,7 @@ def _inter_table_key(cfg: NetworkConfig) -> NetworkConfig:
                    mean_active=1.0)
 
 
-def laplace_inter(n: int, s: float, cfg: NetworkConfig,
-                  quad: QuadratureSpec = _DEFAULT_QUAD) -> float:
+def laplace_inter(n: int, s: float, cfg: NetworkConfig) -> float:
     """E[exp(-s*n*I)] for the interference from all other clusters.
 
     Model-independent: inter-cluster interferers are uniformly random draws
@@ -404,7 +394,7 @@ def laplace_inter(n: int, s: float, cfg: NetworkConfig,
         raise UsageError("n must be >= 1")
     if s < 0.0:
         raise UsageError("s must be >= 0")
-    h = float(_inter_exponent(cfg, quad, np.array([n * s]))[0])
+    h = float(_inter_exponent(cfg, np.array([n * s]))[0])
     return math.exp(-h)
 
 
@@ -414,8 +404,7 @@ def laplace_inter(n: int, s: float, cfg: NetworkConfig,
 
 
 def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFlags,
-                    cfg: NetworkConfig, quad: QuadratureSpec,
-                    w_rule: tuple[tuple[float, ...], int]) -> np.ndarray:
+                    cfg: NetworkConfig, w_rule: tuple[tuple[float, ...], int]) -> np.ndarray:
     """Per-interferer integral J with L_intra = exp(-(mean_active - 1) * J).
 
     Broadcasts over t, v and r_serving.  ``w_rule`` is the (panel fractions,
@@ -426,9 +415,7 @@ def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFla
     """
     ch = cfg.channel
     sigma = cfg.scatter_std
-    var = sigma * sigma
     gains, probs = cfg.gain_table().as_arrays()
-    cut = quad.tail_cutoff_sigmas
     t_w = np.asarray(t, dtype=float)[..., None]
     blockage_weights = not flags.use_assumption2
     u, wt = relative_template(*w_rule)
@@ -438,42 +425,48 @@ def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFla
         return np.einsum("...w,...w->...", kern, pdf)
 
     if flags.use_assumption1:
-        hi = (cut + 5.0) * sigma
+        # the unconditioned law is the uniform model's approximate serving law
+        hi = (_TAIL_SIGMAS + 5.0) * sigma
         w = u * hi
-        pdf = rayleigh_pdf(w, 2.0 * var) * wt * hi
+        pdf = serving_distance_pdf_approx(AssociationModel.UNIFORM, w, cfg) * wt * hi
         return integral(w, pdf, include_nlos=blockage_weights,
                         blockage_weights=blockage_weights)
 
     v_w = np.asarray(v, dtype=float)[..., None]
-    hi = v_w + cut * sigma
+    hi = v_w + _TAIL_SIGMAS * sigma
     w = hi * u
-    pdf = rician_pdf(w, v_w, var) * (hi * wt)
     if model is AssociationModel.UNIFORM:
+        pdf = interferer_distance_pdf(model, w, v_w, None, cfg) * (hi * wt)
         return integral(w, pdf, include_nlos=blockage_weights,
                         blockage_weights=blockage_weights)
 
+    # the law truncated beyond the serving distance: every nearest-model
+    # interferer and the unblocked nearest-unblocked ones
     r_w = np.asarray(r_serving, dtype=float)[..., None]
-    norm = marcum_q1(v_w[..., 0] / sigma, r_w[..., 0] / sigma)
     u2, wt2 = relative_template(_W2_FRACS, _W2_ORDER)
     span = np.maximum(hi - r_w, sigma * 1e-9)
     w2 = r_w + span * u2
-    pdf2 = rician_pdf(w2, v_w, var) * span * wt2
+    pdf2 = interferer_distance_pdf(model, w2, v_w, r_w, cfg) * span * wt2
     if model is AssociationModel.CLOSEST:
-        return integral(w2, pdf2) / norm
-    # nearest-unblocked: truncated LOS integral plus untruncated NLOS integral
-    return integral(w2, pdf2, include_nlos=False) / norm + integral(w, pdf, include_los=False)
+        return integral(w2, pdf2)
+    # the blocked nearest-unblocked interferers keep the untruncated law; the
+    # truncated integral goes first, since the other order measured about 15%
+    # slower on exact closest_los coverage
+    pdf = interferer_distance_pdf(model, w, v_w, None, cfg, interferer_is_los=False) * (hi * wt)
+    return integral(w2, pdf2, include_nlos=False) + integral(w, pdf, include_los=False)
 
 
 def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
                   r_serving: float | None = None,
                   flags: CoverageFlags = CoverageFlags(),
-                  cfg: NetworkConfig | None = None,
-                  quad: QuadratureSpec = _DEFAULT_QUAD) -> float:
+                  cfg: NetworkConfig | None = None) -> float:
     """E[exp(-s*n*I)] for the interference inside the receiver's own cluster.
 
     Conditional on the cluster-center distance ``v`` and, for the nearest
     and nearest-unblocked models, on the serving distance ``r_serving``.
     Returns exactly 1 when the cluster carries no interferers on average.
+    Raises :class:`DegenerateSupportError` where the serving distance lies so
+    deep in the tail that the truncated interferer law has no support.
     """
     if cfg is None:
         raise UsageError("cfg is required")
@@ -495,8 +488,7 @@ def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
         return 1.0
     if s == 0.0:
         return 1.0
-    j = _intra_exponent(model, float(n * s), v, r_serving, flags, cfg, quad,
-                        (_R_FRACS, _R_ORDER))
+    j = _intra_exponent(model, float(n * s), v, r_serving, flags, cfg, (_R_FRACS, _R_ORDER))
     return float(np.exp(-(cfg.mean_active - 1.0) * j))
 
 
@@ -505,33 +497,20 @@ def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Branch:
-    coef: float        # signed binomial coefficient
-    t_coef: float      # t = t_coef * r^alpha
-    alpha: float
-    is_los: bool
-
-
-def _branches(gamma_th: float, cfg: NetworkConfig, include_nlos: bool) -> list[_Branch]:
+def _branches(gamma_th: float, cfg: NetworkConfig, include_nlos: bool):
+    """Signed binomial coefficients, t = t_coef * r^alpha coefficients,
+    path-loss exponents and LOS flags of the branches of the bound."""
     ch = cfg.channel
     g0 = cfg.gain_table().boresight_gain
-    eta_l = gamma_cdf_bound_coefficient(ch.nakagami_los)
-    out = [
-        _Branch(coef=(-1.0) ** (n + 1) * math.comb(ch.nakagami_los, n),
-                t_coef=n * gamma_th * eta_l / (ch.intercept_los * g0),
-                alpha=ch.alpha_los, is_los=True)
-        for n in range(1, ch.nakagami_los + 1)
-    ]
+    laws = [(ch.nakagami_los, ch.intercept_los, ch.alpha_los, True)]
     if include_nlos:
-        eta_n = gamma_cdf_bound_coefficient(ch.nakagami_nlos)
-        out += [
-            _Branch(coef=(-1.0) ** (n + 1) * math.comb(ch.nakagami_nlos, n),
-                    t_coef=n * gamma_th * eta_n / (ch.intercept_nlos * g0),
-                    alpha=ch.alpha_nlos, is_los=False)
-            for n in range(1, ch.nakagami_nlos + 1)
-        ]
-    return out
+        laws.append((ch.nakagami_nlos, ch.intercept_nlos, ch.alpha_nlos, False))
+    rows = [((-1.0) ** (n + 1) * math.comb(shape, n),
+             n * gamma_th * gamma_cdf_bound_coefficient(shape) / (intercept * g0),
+             alpha, is_los)
+            for shape, intercept, alpha, is_los in laws for n in range(1, shape + 1)]
+    coefs, t_coefs, alphas, is_los = (np.array(col) for col in zip(*rows))
+    return coefs, t_coefs[:, None, None], alphas[:, None, None], is_los[:, None, None]
 
 
 def _validate_coverage_args(model, gamma_th, flags, cfg):
@@ -547,8 +526,7 @@ def _validate_coverage_args(model, gamma_th, flags, cfg):
 
 
 def _coverage_raw(model: AssociationModel, gamma_th: float,
-                  flags: CoverageFlags, cfg: NetworkConfig,
-                  quad: QuadratureSpec) -> float:
+                  flags: CoverageFlags, cfg: NetworkConfig) -> float:
     """Alternating branch sum of the bound, integrated over the serving
     distance r and, unless ``use_assumption1`` drops the conditioning, the
     cluster-center distance v (a single v node otherwise)."""
@@ -556,28 +534,23 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
     ch = cfg.channel
     sigma = cfg.scatter_std
     sbar = cfg.mean_active
-    cut = quad.tail_cutoff_sigmas
     no_assumption2 = not flags.use_assumption2
-    branches = _branches(gamma_th, cfg,
-                         no_assumption2 and model is not AssociationModel.CLOSEST_LOS)
-    coefs = np.array([br.coef for br in branches])
-    t_coefs = np.array([br.t_coef for br in branches])[:, None, None]
-    alphas = np.array([br.alpha for br in branches])[:, None, None]
-    los_mask = np.array([br.is_los for br in branches])[:, None, None]
+    coefs, t_coefs, alphas, los_mask = _branches(
+        gamma_th, cfg, no_assumption2 and model is not AssociationModel.CLOSEST_LOS)
 
-    table = _geometry_table(cfg, quad) if no_assumption2 else None
+    table = _geometry_table(cfg) if no_assumption2 else None
 
     # distance law: center-distance nodes, their weights times the center
     # density, the serving-distance limit per node, the untruncated w-rule
     if flags.use_assumption1:
         v_nodes, v_wts = np.zeros(1), np.ones(1)
-        r_hi = np.full(1, (cut + 5.0) * sigma)
+        r_hi = np.full(1, (_TAIL_SIGMAS + 5.0) * sigma)
         w_rule = (_R_FRACS, _R_ORDER)
     else:
-        v_edges = np.asarray(_V_EDGE_SIGMAS) * (sigma * cut / 12.0)
+        v_edges = np.asarray(_V_EDGE_SIGMAS) * sigma
         v_nodes, v_wts = relative_template(tuple(v_edges), _V_ORDER)
-        v_wts = v_wts * rayleigh_pdf(v_nodes, sigma * sigma)
-        r_hi = v_nodes + cut * sigma
+        v_wts = v_wts * cluster_center_distance_pdf(v_nodes, cfg)
+        r_hi = v_nodes + _TAIL_SIGMAS * sigma
         w_rule = (_W_FRACS, _W_ORDER)
     u_r, w_r = relative_template(_R_FRACS, _R_ORDER)
 
@@ -597,7 +570,7 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
             factor = np.ones(t.shape)
         else:
             factor = np.exp(-(sbar - 1.0) * _intra_exponent(model, t, v, r, flags,
-                                                            cfg, quad, w_rule))
+                                                            cfg, w_rule))
         if table is not None:
             factor = factor * np.exp(-table.exponent(t, sbar))
         if no_assumption2 and cfg.noise_power > 0.0:
@@ -617,8 +590,7 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
 
 def coverage(model: AssociationModel, gamma_th: float,
              flags: CoverageFlags = CoverageFlags(),
-             cfg: NetworkConfig | None = None,
-             quad: QuadratureSpec = _DEFAULT_QUAD) -> float:
+             cfg: NetworkConfig | None = None) -> float:
     """Probability that the receiver's SINR exceeds ``gamma_th`` (linear).
 
     The returned value is the tight analytical *upper bound* for the chosen
@@ -626,7 +598,7 @@ def coverage(model: AssociationModel, gamma_th: float,
     """
     if cfg is None:
         raise UsageError("cfg is required")
-    return min(max(_coverage_raw(model, gamma_th, flags, cfg, quad), 0.0), 1.0)
+    return min(max(_coverage_raw(model, gamma_th, flags, cfg), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -684,26 +656,23 @@ def ase_from_coverage(cfg: NetworkConfig, gamma_th: float, coverage_value: float
 
 def ase(model: AssociationModel, gamma_th: float,
         flags: CoverageFlags = CoverageFlags(),
-        cfg: NetworkConfig | None = None,
-        quad: QuadratureSpec = _DEFAULT_QUAD) -> float:
+        cfg: NetworkConfig | None = None) -> float:
     """Area spectral efficiency with the analytical coverage bound plugged in."""
     if cfg is None:
         raise UsageError("cfg is required")
-    return ase_from_coverage(cfg, gamma_th, coverage(model, gamma_th, flags, cfg, quad))
+    return ase_from_coverage(cfg, gamma_th, coverage(model, gamma_th, flags, cfg))
 
 
 def optimize_mean_active(model: AssociationModel, gamma_th: float,
                          flags: CoverageFlags = CoverageFlags(),
                          cfg: NetworkConfig | None = None,
-                         quad: QuadratureSpec = _DEFAULT_QUAD,
                          coverage_fn=None) -> tuple[int, float]:
     """Exhaustive scan of the mean active-transmitter count for maximum ASE.
 
     Returns (argmax, max ASE); ties break toward the smaller count.  Every
     load of the scan shares one inter-cluster table, since the table is kept
     per geometry.  The optional ``coverage_fn(cfg) -> float`` hook replaces the
-    analytical coverage evaluation (used by tests and by Monte Carlo-driven
-    scans).
+    analytical coverage evaluation (tests use it to scan a known curve).
     """
     if cfg is None:
         raise UsageError("cfg is required")
@@ -713,7 +682,7 @@ def optimize_mean_active(model: AssociationModel, gamma_th: float,
         if coverage_fn is not None:
             cov = coverage_fn(cfg_s)
         else:
-            cov = coverage(model, gamma_th, flags, cfg_s, quad)
+            cov = coverage(model, gamma_th, flags, cfg_s)
         val = ase_from_coverage(cfg_s, gamma_th, cov)
         if val > best_ase:
             best_s, best_ase = s_bar, val

@@ -265,7 +265,7 @@ _QM_FLOOR = 1e-300
 
 def cluster_center_distance_pdf(v, cfg: NetworkConfig):
     """Density of the receiver's own cluster-center distance (Rayleigh)."""
-    return rayleigh_pdf(v, cfg.scatter_std**2)
+    return rayleigh_pdf(v, cfg.scatter_std * cfg.scatter_std)
 
 
 @lru_cache(maxsize=512)
@@ -341,28 +341,29 @@ def interferer_distance_pdf(model: AssociationModel, s, v, r_serving, cfg: Netwo
     serving distance, giving a truncated, Marcum-Q-renormalized Rician.  With
     nearest-unblocked association only the unblocked interferers carry that
     truncation; blocked ones keep the full Rician law
-    (``interferer_is_los=False``).
+    (``interferer_is_los=False``).  ``s``, ``v`` and ``r_serving`` broadcast
+    against each other; only the truncated law reads ``r_serving``, so the
+    others accept None.
     """
     s_arr = np.asarray(s, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
+    r_arr = None if r_serving is None else np.asarray(r_serving, dtype=float)
     if np.any(s_arr < 0.0):
         raise ValueError("s must be >= 0")
-    if v < 0.0 or r_serving < 0.0:
+    if np.any(v_arr < 0.0) or (r_arr is not None and np.any(r_arr < 0.0)):
         raise ValueError("v and r_serving must be >= 0")
     sigma = cfg.scatter_std
-    var = sigma * sigma
+    out = rician_pdf(s_arr, v_arr, sigma * sigma)
 
-    truncated = model is AssociationModel.CLOSEST or (
-        model is AssociationModel.CLOSEST_LOS and interferer_is_los)
-    if not truncated:
-        out = rician_pdf(s_arr, v, var)
-    else:
-        norm = marcum_q1(v / sigma, r_serving / sigma)
-        if norm < _QM_FLOOR:
+    if model is AssociationModel.CLOSEST or (
+            model is AssociationModel.CLOSEST_LOS and interferer_is_los):
+        norm = marcum_q1(v_arr / sigma, r_arr / sigma)
+        if np.any(norm < _QM_FLOOR):
             raise DegenerateSupportError(
                 "serving distance so deep in the tail that the truncated "
                 "interferer density has no support")
-        out = np.where(s_arr > r_serving, rician_pdf(s_arr, v, var) / norm, 0.0)
-    return float(out) if np.ndim(s) == 0 else out
+        out = np.where(s_arr > r_arr, out / norm, 0.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def serving_distance_pdf_approx(model: AssociationModel, r, cfg: NetworkConfig):

@@ -2,8 +2,8 @@
 
 All functions accept scalars or numpy arrays and broadcast like ufuncs.
 Density arguments follow the convention that the second moment parameter is
-a *variance* (sigma squared), never a standard deviation; the CLI squares
-user-supplied sigmas exactly once at parse time.
+a *variance* (sigma squared), never a standard deviation; the configuration
+stores the standard deviation and the engines square it.
 """
 
 from __future__ import annotations

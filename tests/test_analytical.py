@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from mmwcluster import analytical
 from mmwcluster.analytical import (
     CoverageFlags,
-    QuadratureSpec,
     ase,
     ase_from_coverage,
     coverage,
@@ -26,7 +25,7 @@ from mmwcluster.analytical import (
     optimize_mean_active,
 )
 from mmwcluster.config import apply_override, config_with_carrier, default_config
-from mmwcluster.errors import UsageError
+from mmwcluster.errors import DegenerateSupportError, UsageError
 from mmwcluster.model import AssociationModel
 from mmwcluster.special import marcum_q1, rician_pdf
 
@@ -157,6 +156,30 @@ class TestLaplaceIntra:
         with pytest.raises(UsageError):
             laplace_intra(AssociationModel.CLOSEST, 1, 1.0, 5.0, cfg=cfg)
 
+    @pytest.mark.parametrize("model", [AssociationModel.CLOSEST,
+                                       AssociationModel.CLOSEST_LOS])
+    def test_serving_distance_beyond_support_raises(self, cfg, model):
+        # Q1(0, 400) underflows to 0: the truncated law has no support left
+        with pytest.raises(DegenerateSupportError):
+            laplace_intra(model, 1, 1e-3, 0.0, r_serving=4000.0, cfg=cfg)
+
+    # laplace_intra(model, 1, s_ref, v, r_serving) at the defaults for
+    # (v, r_serving) in ((0, 4), (10, 20), (35, 50)); pinned values of the
+    # truncated and untruncated interferer laws and their panel rules
+    RECORDED = [
+        (AssociationModel.CLOSEST,
+         [0.4385482271838546, 0.8306448002750989, 0.98066064218844]),
+        (AssociationModel.CLOSEST_LOS,
+         [0.4331903273958729, 0.8037627507925657, 0.9788247822560406]),
+    ]
+
+    @pytest.mark.parametrize("model, values", RECORDED)
+    def test_truncated_laws_unchanged(self, cfg, model, values):
+        s_ref = reference_laplace_argument(cfg)
+        got = [laplace_intra(model, 1, s_ref, v, r_serving=r, cfg=cfg)
+               for v, r in ((0.0, 4.0), (10.0, 20.0), (35.0, 50.0))]
+        assert got == pytest.approx(values, rel=1e-12, abs=0.0)
+
 
 class TestLaplaceInter:
     def test_zero_argument(self, cfg):
@@ -215,12 +238,11 @@ class TestInterTable:
     @pytest.mark.parametrize("sigma", [10.0, 20.0])
     def test_table_matches_direct_transform_at_every_load(self, cfg, sigma):
         geometry = replace(cfg, scatter_std=sigma)
-        spec = QuadratureSpec()
-        table = analytical._inter_table(analytical._inter_table_key(geometry), spec)
+        table = analytical._inter_table(analytical._inter_table_key(geometry))
         # spans the table, with most points between its grid nodes
         t = np.exp(np.linspace(table._log_t[0], table._log_t[-1], 97))
         for load in (1.0, 2.5, float(cfg.cluster_tx_count)):
-            direct = analytical._inter_exponent(geometry.with_mean_active(load), spec, t)
+            direct = analytical._inter_exponent(geometry.with_mean_active(load), t)
             # 3e-5 is the relative tolerance of the outer tail rule
             assert table.exponent(t, load) == pytest.approx(direct, rel=3e-5, abs=0.0)
 
@@ -249,7 +271,6 @@ class TestApproxBoundProperties:
                            ("tx_main_lobe_db", main_db), ("tx_side_lobe_db", side_db)):
             c = apply_override(c, key, value)
         flags = CoverageFlags(use_assumption1=True)
-        quad_spec = QuadratureSpec()
         load = 1.0 + load_frac * (tx_count - 1)
         heavier = min(float(tx_count), load + load_step)
         gamma, stricter = 10.0 ** (gamma_db / 10.0), 10.0 ** ((gamma_db + step_db) / 10.0)
@@ -257,7 +278,7 @@ class TestApproxBoundProperties:
         def bound(g, s):
             # unclamped, so that the [0, 1] check is not vacuous
             return analytical._coverage_raw(AssociationModel.UNIFORM, g, flags,
-                                            c.with_mean_active(s), quad_spec)
+                                            c.with_mean_active(s))
 
         base = bound(gamma, load)
         assert -1e-9 <= base <= 1.0 + 1e-9
@@ -266,6 +287,25 @@ class TestApproxBoundProperties:
 
 
 class TestCoverage:
+    # coverage at 0 dB, scatter 20 m, load 5 (exact, approx, assumption 2);
+    # pinned values of the whole bound, so that a changed quadrature constant,
+    # panel rule or distance law shows
+    RECORDED = [
+        (AssociationModel.UNIFORM, CoverageFlags(), 0.33542381274043925),
+        (AssociationModel.CLOSEST, CoverageFlags(), 0.938962882596011),
+        (AssociationModel.CLOSEST_LOS, CoverageFlags(), 0.9898378392396764),
+        (AssociationModel.UNIFORM, CoverageFlags(use_assumption1=True), 0.339069902107471),
+        (AssociationModel.CLOSEST, CoverageFlags(use_assumption1=True), 0.9587565214479028),
+        (AssociationModel.CLOSEST_LOS, CoverageFlags(use_assumption1=True),
+         0.9917598537315659),
+        (AssociationModel.UNIFORM, CoverageFlags(use_assumption2=True), 0.9219671025716968),
+    ]
+
+    @pytest.mark.parametrize("model, flags, value", RECORDED)
+    def test_bound_unchanged(self, cfg, model, flags, value):
+        c = replace(cfg, scatter_std=20.0, mean_active=5.0)
+        assert coverage(model, 1.0, flags, c) == pytest.approx(value, rel=1e-12, abs=0.0)
+
     def test_tiny_threshold_gives_one(self, cfg):
         assert coverage(AssociationModel.UNIFORM, 1e-12, cfg=cfg) == pytest.approx(1.0,
                                                                                    abs=1e-6)

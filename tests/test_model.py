@@ -217,6 +217,28 @@ class TestInterfererDistancePdf:
             interferer_distance_pdf(AssociationModel.CLOSEST, 1000.0, 0.0,
                                     400.0 * cfg.scatter_std, cfg)
 
+    def test_degenerate_element_raises(self, cfg):
+        # only the second (v, r_serving) pair has no support left
+        with pytest.raises(DegenerateSupportError):
+            interferer_distance_pdf(AssociationModel.CLOSEST, np.array([20.0, 5000.0]),
+                                    np.array([10.0, 0.0]),
+                                    np.array([5.0, 400.0 * cfg.scatter_std]), cfg)
+
+    @pytest.mark.parametrize("model, is_los", [(AssociationModel.UNIFORM, True),
+                                               (AssociationModel.CLOSEST, True),
+                                               (AssociationModel.CLOSEST_LOS, True),
+                                               (AssociationModel.CLOSEST_LOS, False)])
+    def test_broadcast_matches_scalar_calls(self, cfg, model, is_los):
+        ss = np.linspace(0.0, 80.0, 9)[:, None, None]
+        vs = np.array([0.0, 10.0, 35.0])[:, None]
+        rs = np.array([0.0, 4.0, 20.0, 50.0])
+        got = interferer_distance_pdf(model, ss, vs, rs, cfg, interferer_is_los=is_los)
+        want = np.vectorize(lambda s, v, r: interferer_distance_pdf(
+            model, s, v, r, cfg, interferer_is_los=is_los))(ss, vs, rs)
+        # the untruncated laws do not read r_serving, so need not span its axis
+        np.testing.assert_allclose(np.broadcast_to(got, want.shape), want,
+                                   rtol=1e-15, atol=0.0)
+
 
 class TestApproximateServingPdf:
     def test_uniform_mode(self, cfg):
