@@ -16,7 +16,7 @@ from .analytical import CoverageFlags
 from .config import apply_override, default_config, parse_config
 from .errors import ConfigError, NumericalError, UsageError
 from .model import AssociationModel
-from .sweep import evaluate_engine, figure_specs, parse_sweep_spec, run_sweep
+from .sweep import evaluate_engines, figure_specs, parse_sweep_spec, run_sweep
 from .validate import run_validation
 
 _MODEL_CHOICES = [m.value for m in AssociationModel] + ["all"]
@@ -58,10 +58,12 @@ def _point_estimates(args, metric: str) -> list[str]:
     cfg = _load_config(args)
     # coverage half-widths keep 4 decimals; ASE ones are far below 1e-4
     unit, width_format = (" bit/s/Hz/m^2", ".3g") if metric == "ase" else ("", ".4f")
+    models = _models(args)
+    # one call for all models: Monte Carlo ones share the sampled worlds
+    results = evaluate_engines(cfg, [(model, args.engine) for model in models], metric,
+                               args.seed, args.trials)
     lines = []
-    for model in _models(args):
-        value, half_width, _ = evaluate_engine(cfg, model, args.engine, metric,
-                                               args.seed, args.trials)
+    for model, (value, half_width, _) in zip(models, results):
         note = _ENGINE_NOTES[args.engine]
         if half_width is not None:
             note = note.format(half_width=format(half_width, width_format), trials=args.trials)

@@ -2,14 +2,17 @@
 
 A sweep evaluates one metric (coverage or area spectral efficiency) over an
 axis of parameter values, for a set of association models and engines, and
-writes one CSV row per (value, model, engine).  Rows are computed by a
-worker pool but always written in spec order, so output files are
-byte-stable for a fixed (config, spec, seed) regardless of thread count.
+writes one CSV row per (value, model, engine).  The Monte Carlo rows of one
+axis value are estimated together from one seed, so they share sampled
+worlds (common random numbers).  Rows are computed by a worker pool but
+always written in spec order, so output files are byte-stable for a fixed
+(config, spec, seed) regardless of thread count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +23,7 @@ from .config import apply_override, check_override_key, parse_number, read_key_v
 from .errors import ConfigError, NumericalError, UsageError
 from .model import AssociationModel, NetworkConfig
 
-__all__ = ["SweepSpec", "run_sweep", "figure_specs", "parse_sweep_spec", "evaluate_engine",
+__all__ = ["SweepSpec", "run_sweep", "figure_specs", "parse_sweep_spec", "evaluate_engines",
            "CSV_HEADER"]
 
 CSV_HEADER = "axis_value,model,engine,coverage_or_ase,ci_half_width,is_upper_bound,seed,error"
@@ -99,79 +102,95 @@ def _row_seed(base_seed: int, index: int) -> int:
     return (base_seed * 1_000_003 + index) & ((1 << 63) - 1)
 
 
-def evaluate_engine(cfg: NetworkConfig, model: AssociationModel, engine: str,
-                    metric: str, seed: int, trials: int) -> tuple[float, float | None, bool]:
-    """One engine's coverage (or ASE) at the configured threshold.
+def evaluate_engines(cfg: NetworkConfig, rows: Sequence[tuple[AssociationModel, str]],
+                     metric: str, seed: int,
+                     trials: int) -> list[tuple[float, float | None, bool]]:
+    """Each (model, engine) row's coverage (or ASE) at the configured threshold.
 
-    Returns ``(value, 95% half-width or None, is_upper_bound)``; the
+    Returns ``(value, 95% half-width or None, is_upper_bound)`` per row; the
     half-width is in the metric's units and only Monte Carlo engines have
-    one.  Raises ``UsageError``/``NumericalError`` when the engine cannot
-    evaluate the point.
+    one.  All Monte Carlo rows come from one ``estimate_coverage_many`` call
+    at ``seed``, so they share sampled worlds (common random numbers), and
+    each equals a lone ``estimate_coverage`` call at that seed.  Raises
+    ``UsageError``/``NumericalError`` when an engine cannot evaluate the point.
     """
     gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
-    base, variants = _parse_engine(engine)
-    ci = None
-    if base == "analytical":
-        value = analytical.coverage(model, gamma, CoverageFlags(), cfg)
-    elif base == "analytical_approx":
-        value = analytical.coverage(model, gamma, CoverageFlags(use_assumption1=True), cfg)
-    elif base == "lower_bound":
-        value = analytical.coverage_lower_bound(gamma, cfg)
-    else:
-        options, blockage = _mc_case(variants, cfg)
-        est = montecarlo.estimate_coverage(cfg, model, gamma, trials, seed, blockage, options)
-        value, ci = est.p_hat, est.half_width_95
-    if metric == "ase":
-        value = analytical.ase_from_coverage(cfg, gamma, value)
-        if ci is not None:
-            ci = analytical.ase_from_coverage(cfg, gamma, ci)
-    return value, ci, base in _UPPER_BOUND_ENGINES
+    parsed = [(model, *_parse_engine(engine)) for model, engine in rows]
+    cases = [(model, *_mc_case(variants, cfg))
+             for model, base, variants in parsed if base == "montecarlo"]
+    estimates = iter(montecarlo.estimate_coverage_many(cfg, gamma, cases, trials, seed)
+                     if cases else ())
+    results = []
+    for model, base, _ in parsed:
+        ci = None
+        if base == "analytical":
+            value = analytical.coverage(model, gamma, CoverageFlags(), cfg)
+        elif base == "analytical_approx":
+            value = analytical.coverage(model, gamma, CoverageFlags(use_assumption1=True), cfg)
+        elif base == "lower_bound":
+            value = analytical.coverage_lower_bound(gamma, cfg)
+        else:
+            est = next(estimates)
+            value, ci = est.p_hat, est.half_width_95
+        if metric == "ase":
+            value = analytical.ase_from_coverage(cfg, gamma, value)
+            if ci is not None:
+                ci = analytical.ase_from_coverage(cfg, gamma, ci)
+        results.append((value, ci, base in _UPPER_BOUND_ENGINES))
+    return results
 
 
-def _evaluate_point(cfg: NetworkConfig, model: AssociationModel, engine: str,
-                    metric: str, axis_value: float, seed: int, trials: int) -> str:
-    """One CSV row; a numerical failure fills ``error`` instead of a value."""
+def _evaluate_point(cfg: NetworkConfig, pairs: list[tuple[AssociationModel, str]],
+                    metric: str, axis_value: float, seed: int, trials: int) -> list[str]:
+    """The CSV rows of one work item; a numerical failure fills ``error`` of
+    every row instead of a value."""
     error = ""
     try:
-        value, ci, upper = evaluate_engine(cfg, model, engine, metric, seed, trials)
+        results = evaluate_engines(cfg, pairs, metric, seed, trials)
     except (UsageError, NumericalError) as exc:
-        value, ci, upper = None, None, engine in _UPPER_BOUND_ENGINES
+        results = [(None, None, engine in _UPPER_BOUND_ENGINES) for _, engine in pairs]
         error = str(exc).replace(",", ";")
     # only Monte Carlo rows carry a half-width, and only they are seeded
-    row_seed = "" if ci is None else str(seed)
-    return ",".join([_format(axis_value), model.value, engine, _format(value), _format(ci),
-                     "true" if upper else "false", row_seed, error])
+    return [",".join([_format(axis_value), model.value, engine, _format(value), _format(ci),
+                      "true" if upper else "false", "" if ci is None else str(seed), error])
+            for (model, engine), (value, ci, upper) in zip(pairs, results)]
 
 
 def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_path: str | Path,
               seed: int = 1, trials: int = 20_000, threads: int = 1) -> Path:
     """Evaluate the sweep and write the CSV; returns the output path.
 
-    Per-point numerical failures land in the ``error`` column instead of
-    aborting the sweep.
+    Each analytical row is one work item.  The Monte Carlo rows of one axis
+    value are one more: they share the point's seed and so its sampled
+    worlds.  Per-point numerical failures land in the ``error`` column
+    instead of aborting the sweep.
     """
     base_cfg = cfg
     for key, value in spec.config_overrides:
         base_cfg = apply_override(base_cfg, key, value)
+    cfgs = [apply_override(base_cfg, spec.axis, value) for value in spec.values]
 
-    points = []
-    for value in spec.values:
-        cfg_v = apply_override(base_cfg, spec.axis, value)
-        for model in spec.models:
-            for engine in spec.engines:
-                points.append((value, cfg_v, model, engine))
+    pairs = [(model, engine) for model in spec.models for engine in spec.engines]
+    mc = [k for k, (_, engine) in enumerate(pairs) if engine.startswith("montecarlo")]
+    # row positions within an axis value of each work item: every analytical
+    # row alone, and all the Monte Carlo rows together
+    groups = [[k] for k in range(len(pairs)) if k not in mc] + ([mc] if mc else [])
+    items = [(i, ks) for i in range(len(spec.values)) for ks in groups]
 
     def work(item):
-        index, (value, cfg_v, model, engine) = item
-        return _evaluate_point(cfg_v, model, engine, spec.metric, value,
-                               _row_seed(seed, index), trials)
+        i, ks = item
+        return _evaluate_point(cfgs[i], [pairs[k] for k in ks], spec.metric,
+                               spec.values[i], _row_seed(seed, i), trials)
 
-    items = list(enumerate(points))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, items))
+            results = list(pool.map(work, items))
     else:
-        rows = [work(item) for item in items]
+        results = [work(item) for item in items]
+    rows = [""] * (len(spec.values) * len(pairs))
+    for (i, ks), lines in zip(items, results):
+        for k, line in zip(ks, lines):
+            rows[i * len(pairs) + k] = line
 
     out_path = Path(out_path)
     out_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")

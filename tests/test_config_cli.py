@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mmwcluster import analytical
+from mmwcluster import analytical, montecarlo
 from mmwcluster.analytical import ase_from_coverage
 from mmwcluster.cli import main as cli_main
 from mmwcluster.config import (
@@ -23,10 +23,11 @@ from mmwcluster.config import (
 )
 from mmwcluster.errors import ConfigError
 from mmwcluster.model import AssociationModel
-from mmwcluster.montecarlo import estimate_coverage
+from mmwcluster.montecarlo import IidExponential, LosBall, SinrOptions, estimate_coverage
 from mmwcluster.sweep import (
     CSV_HEADER,
     SweepSpec,
+    _row_seed,
     figure_specs,
     parse_sweep_spec,
     run_sweep,
@@ -230,6 +231,54 @@ class TestSweep:
         fields = line.split(",")
         assert fields[3] == ""          # no value
         assert "alpha_los" in fields[7]  # reason recorded, sweep not aborted
+
+    def test_monte_carlo_rows_share_one_call_per_point(self, cfg, tmp_path, monkeypatch):
+        # each grouped row equals a lone estimate at the point's seed
+        cases = {"montecarlo": (SinrOptions(), IidExponential()),
+                 "montecarlo:los_only": (SinrOptions(include_nlos_interference=False),
+                                         IidExponential()),
+                 "montecarlo:no_interference": (
+                     SinrOptions(include_intra=False, include_inter=False), IidExponential()),
+                 "montecarlo:losball": (
+                     SinrOptions(), LosBall(math.log(2.0) / cfg.channel.blockage_rate))}
+        spec = SweepSpec(axis="mean_active", values=(2.0, 5.0),
+                         models=tuple(AssociationModel), engines=tuple(cases))
+        calls = []
+        many = montecarlo.estimate_coverage_many
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return many(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "estimate_coverage_many", counted)
+        out = run_sweep(cfg, spec, tmp_path / "s.csv", seed=5, trials=600, threads=2)
+        assert len(calls) == len(spec.values)
+        monkeypatch.undo()
+
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 3 * 4
+        gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
+        for i, load in enumerate(spec.values):
+            point = [r for r in rows if float(r[0]) == load]
+            assert {r[6] for r in point} == {str(_row_seed(5, i))}
+            for row in point:
+                options, blockage = cases[row[2]]
+                est = estimate_coverage(cfg.with_mean_active(load), AssociationModel(row[1]),
+                                        gamma, 600, _row_seed(5, i), blockage, options)
+                assert row[3] == f"{est.p_hat:.9g}"
+                assert row[4] == f"{est.half_width_95:.9g}"
+
+    def test_error_column_stays_with_its_point(self, cfg, tmp_path):
+        spec = SweepSpec(axis="scatter_std", values=(10.0, 100.0),
+                         models=(AssociationModel.UNIFORM,),
+                         engines=("analytical_approx", "montecarlo", "montecarlo:los_only"))
+        out = run_sweep(cfg, spec, tmp_path / "s.csv", seed=3, trials=200, threads=2)
+        for line in out.read_text().splitlines()[1:]:
+            fields = line.split(",")
+            if fields[0] == "100" and fields[2].startswith("montecarlo"):
+                assert "edge-bias guard" in fields[7] and fields[3] == ""
+            else:
+                assert fields[3] and not fields[7]
 
     def test_figure_presets_enumerate(self):
         for fig in ("2a", "2b", "3a", "3b", "4a", "4b", "5a", "5b"):
