@@ -123,14 +123,40 @@ _V_CHUNK = 8
 _PANEL_BATCH = 8
 
 
+class _Workspace:
+    """Scratch arrays of one evaluation, reused by all of its kernel calls.
+
+    Each named buffer grows to the largest block asked of it and is handed out
+    as a contiguous view, so a chunked loop writes the same memory on every
+    pass instead of allocating, and faulting in, fresh arrays.  A workspace
+    belongs to the call that made it; callers in other threads make their own.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 def _bracket_mean(scaled: np.ndarray, gains: np.ndarray, probs: np.ndarray,
-                  shape: int) -> np.ndarray:
-    """sum_i b_i * (1 + a_i * scaled / N)^(-N), the mean fading-and-gain
-    Laplace factor; ``scaled`` is t * intercept * w^(-alpha)."""
-    acc = np.zeros_like(scaled)
+                  shape: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Write sum_i b_i * (1 + a_i * scaled / N)^(-N), the mean fading-and-gain
+    Laplace factor, into ``out``; ``scaled`` is t * intercept * w^(-alpha) and
+    ``tmp`` scratch of the same shape."""
+    out.fill(0.0)
     for a_i, b_i in zip(gains, probs):
-        acc += b_i * np.exp(-shape * np.log1p(a_i * scaled / shape))
-    return acc
+        np.multiply(a_i, scaled, out=tmp)
+        np.divide(tmp, shape, out=tmp)
+        np.log1p(tmp, out=tmp)
+        np.multiply(-shape, tmp, out=tmp)
+        np.exp(tmp, out=tmp)
+        np.multiply(b_i, tmp, out=tmp)
+        np.add(out, tmp, out=out)
 
 
 def kernel_los(s, r, n: int, table: GainTable, channel: ChannelParams):
@@ -161,22 +187,34 @@ def _kernel(s, r, n, table, channel, **branch):
 
 def _kernel_grid(t: np.ndarray, w: np.ndarray, gains, probs, ch: ChannelParams,
                  include_los: bool = True, include_nlos: bool = True,
-                 blockage_weights: bool = True) -> np.ndarray:
+                 blockage_weights: bool = True, ws: _Workspace | None = None) -> np.ndarray:
     """(Q + Z)(t, w) on broadcastable tensors.
 
     ``blockage_weights=False`` drops the exp(-eps*w) LOS-probability weights
     (all links treated as unblocked), which is what the noise-free
-    intra-only special case uses.
+    intra-only special case uses.  The result is a view into ``ws`` (a fresh
+    workspace when None), overwritten by the next kernel call on it.
     """
-    out = 0.0
+    ws = _Workspace() if ws is None else ws
+    shape = np.broadcast_shapes(np.shape(t), np.shape(w))
+    scaled, tmp = ws.take("scaled", shape), ws.take("tmp", shape)
+    links = []
     if include_los:
-        bra = 1.0 - _bracket_mean(t * (ch.intercept_los * w ** (-ch.alpha_los)),
-                                  gains, probs, ch.nakagami_los)
-        out = out + (bra * np.exp(-ch.blockage_rate * w) if blockage_weights else bra)
+        links.append((ch.intercept_los, ch.alpha_los, ch.nakagami_los,
+                      np.exp(-ch.blockage_rate * w) if blockage_weights else None))
     if include_nlos:
-        bra = 1.0 - _bracket_mean(t * (ch.intercept_nlos * w ** (-ch.alpha_nlos)),
-                                  gains, probs, ch.nakagami_nlos)
-        out = out + (bra * (1.0 - np.exp(-ch.blockage_rate * w)) if blockage_weights else bra)
+        links.append((ch.intercept_nlos, ch.alpha_nlos, ch.nakagami_nlos,
+                      1.0 - np.exp(-ch.blockage_rate * w) if blockage_weights else None))
+    out = ws.take("kernel", shape)
+    for k, (intercept, alpha, n_shape, weight) in enumerate(links):
+        bra = out if k == 0 else ws.take("link", shape)
+        np.multiply(t, intercept * w ** (-alpha), out=scaled)
+        _bracket_mean(scaled, gains, probs, n_shape, bra, tmp)
+        np.subtract(1.0, bra, out=bra)
+        if weight is not None:
+            np.multiply(bra, weight, out=bra)
+        if k:
+            np.add(out, bra, out=out)
     return out
 
 
@@ -203,6 +241,7 @@ def _inter_integrals(cfg: NetworkConfig, t: np.ndarray,
     # few arguments: evaluate several outer panels per kernel call, since the
     # per-call overhead then outweighs the panels computed past convergence
     batch = max(1, _PANEL_BATCH // t.size)
+    ws = _Workspace()
 
     def panel_integrals(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
         """I of each panel, shape (t, panel, v), and v * w, shape (panel, v)."""
@@ -210,7 +249,7 @@ def _inter_integrals(cfg: NetworkConfig, t: np.ndarray,
         inner = np.empty((t.size,) + vwv.shape)
         for k0 in range(0, t.size, 16):
             sl = slice(k0, min(k0 + 16, t.size))
-            kern = _kernel_grid(t[sl, None, None, None], w[None], gains, probs, ch)
+            kern = _kernel_grid(t[sl, None, None, None], w[None], gains, probs, ch, ws=ws)
             inner[sl] = np.einsum("kpvw,pvw->kpv", kern, pdf_w)
         return inner, vwv
 
@@ -404,14 +443,16 @@ def laplace_inter(n: int, s: float, cfg: NetworkConfig) -> float:
 
 
 def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFlags,
-                    cfg: NetworkConfig, w_rule: tuple[tuple[float, ...], int]) -> np.ndarray:
+                    cfg: NetworkConfig, w_rule: tuple[tuple[float, ...], int],
+                    ws: _Workspace | None = None) -> np.ndarray:
     """Per-interferer integral J with L_intra = exp(-(mean_active - 1) * J).
 
     Broadcasts over t, v and r_serving.  ``w_rule`` is the (panel fractions,
     order) template of the untruncated interferer-distance integrals; the
     integrals truncated at the serving distance always use the _W2 template.
     Under ``use_assumption1`` the interferer distance law collapses to the
-    unconditioned Rayleigh for every model.
+    unconditioned Rayleigh for every model.  The kernel is evaluated in ``ws``
+    (a fresh workspace when None).
     """
     ch = cfg.channel
     sigma = cfg.scatter_std
@@ -419,10 +460,16 @@ def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFla
     t_w = np.asarray(t, dtype=float)[..., None]
     blockage_weights = not flags.use_assumption2
     u, wt = relative_template(*w_rule)
+    ws = _Workspace() if ws is None else ws
 
     def integral(w, pdf, **branch):
-        kern = _kernel_grid(t_w, w, gains, probs, ch, **branch)
-        return np.einsum("...w,...w->...", kern, pdf)
+        # a t with an axis of its own (the bound's branches) is integrated
+        # one slice of that axis at a time, which keeps the kernel block small
+        out = np.empty(np.broadcast_shapes(t_w.shape, pdf.shape)[:-1])
+        for t_b, out_b in (zip(t_w, out) if t_w.ndim > pdf.ndim else [(t_w, out)]):
+            kern = _kernel_grid(t_b, w, gains, probs, ch, ws=ws, **branch)
+            np.einsum("...w,...w->...", kern, pdf, out=out_b)
+        return out
 
     if flags.use_assumption1:
         # the unconditioned law is the uniform model's approximate serving law
@@ -449,9 +496,7 @@ def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFla
     pdf2 = interferer_distance_pdf(model, w2, v_w, r_w, cfg) * span * wt2
     if model is AssociationModel.CLOSEST:
         return integral(w2, pdf2)
-    # the blocked nearest-unblocked interferers keep the untruncated law; the
-    # truncated integral goes first, since the other order measured about 15%
-    # slower on exact closest_los coverage
+    # the blocked nearest-unblocked interferers keep the untruncated law
     pdf = interferer_distance_pdf(model, w, v_w, None, cfg, interferer_is_los=False) * (hi * wt)
     return integral(w2, pdf2, include_nlos=False) + integral(w, pdf, include_los=False)
 
@@ -539,6 +584,7 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
         gamma_th, cfg, no_assumption2 and model is not AssociationModel.CLOSEST_LOS)
 
     table = _geometry_table(cfg) if no_assumption2 else None
+    ws = _Workspace()
 
     # distance law: center-distance nodes, their weights times the center
     # density, the serving-distance limit per node, the untruncated w-rule
@@ -570,7 +616,7 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
             factor = np.ones(t.shape)
         else:
             factor = np.exp(-(sbar - 1.0) * _intra_exponent(model, t, v, r, flags,
-                                                            cfg, w_rule))
+                                                            cfg, w_rule, ws))
         if table is not None:
             factor = factor * np.exp(-table.exponent(t, sbar))
         if no_assumption2 and cfg.noise_power > 0.0:

@@ -1,6 +1,7 @@
 """Analytical-engine tests: kernels, Laplace transforms, coverage bounds."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mmwcluster import analytical
+from mmwcluster._quadrature import relative_template
 from mmwcluster.analytical import (
     CoverageFlags,
     ase,
@@ -26,7 +28,11 @@ from mmwcluster.analytical import (
 )
 from mmwcluster.config import apply_override, config_with_carrier, default_config
 from mmwcluster.errors import DegenerateSupportError, UsageError
-from mmwcluster.model import AssociationModel
+from mmwcluster.model import (
+    AssociationModel,
+    interferer_distance_pdf,
+    serving_distance_pdf_approx,
+)
 from mmwcluster.special import marcum_q1, rician_pdf
 
 
@@ -85,6 +91,133 @@ class TestKernels:
                     + kernel_nlos(s_val, rs, n, table, cfg.channel)
                 assert np.all(total <= 1.0 + 1e-12)
                 assert np.all(total >= 0.0)
+
+
+def _allocating_kernel(t, w, cfg, include_los=True, include_nlos=True,
+                       blockage_weights=True):
+    """(Q + Z)(t, w) as plain allocating numpy expressions, in the operation
+    and operand order of the engine's in-place kernel."""
+    ch = cfg.channel
+    gains, probs = cfg.gain_table().as_arrays()
+
+    def bracket(scaled, shape):
+        acc = np.zeros_like(scaled)
+        for a_i, b_i in zip(gains, probs):
+            acc += b_i * np.exp(-shape * np.log1p(a_i * scaled / shape))
+        return acc
+
+    out = 0.0
+    if include_los:
+        bra = 1.0 - bracket(t * (ch.intercept_los * w ** (-ch.alpha_los)), ch.nakagami_los)
+        out = out + (bra * np.exp(-ch.blockage_rate * w) if blockage_weights else bra)
+    if include_nlos:
+        bra = 1.0 - bracket(t * (ch.intercept_nlos * w ** (-ch.alpha_nlos)), ch.nakagami_nlos)
+        out = out + (bra * (1.0 - np.exp(-ch.blockage_rate * w)) if blockage_weights else bra)
+    return out
+
+
+def _allocating_intra_exponent(model, t, v, r, flags, cfg, w_rule):
+    """J of ``analytical._intra_exponent`` as one einsum over the whole
+    freshly built kernel tensor of each distance law."""
+    sigma = cfg.scatter_std
+    t_w = np.asarray(t, dtype=float)[..., None]
+    weighted = not flags.use_assumption2
+    u, wt = relative_template(*w_rule)
+
+    def integral(w, pdf, **branch):
+        return np.einsum("...w,...w->...", _allocating_kernel(t_w, w, cfg, **branch), pdf)
+
+    if flags.use_assumption1:
+        hi = (analytical._TAIL_SIGMAS + 5.0) * sigma
+        w = u * hi
+        pdf = serving_distance_pdf_approx(AssociationModel.UNIFORM, w, cfg) * wt * hi
+        return integral(w, pdf, include_nlos=weighted, blockage_weights=weighted)
+    v_w = np.asarray(v, dtype=float)[..., None]
+    hi = v_w + analytical._TAIL_SIGMAS * sigma
+    w = hi * u
+    if model is AssociationModel.UNIFORM:
+        pdf = interferer_distance_pdf(model, w, v_w, None, cfg) * (hi * wt)
+        return integral(w, pdf, include_nlos=weighted, blockage_weights=weighted)
+    r_w = np.asarray(r, dtype=float)[..., None]
+    u2, wt2 = relative_template(analytical._W2_FRACS, analytical._W2_ORDER)
+    span = np.maximum(hi - r_w, sigma * 1e-9)
+    w2 = r_w + span * u2
+    pdf2 = interferer_distance_pdf(model, w2, v_w, r_w, cfg) * span * wt2
+    if model is AssociationModel.CLOSEST:
+        return integral(w2, pdf2)
+    pdf = interferer_distance_pdf(model, w, v_w, None, cfg, interferer_is_los=False) * (hi * wt)
+    return integral(w2, pdf2, include_nlos=False) + integral(w, pdf, include_los=False)
+
+
+class TestKernelWorkspace:
+    """The kernel runs in place in a reused workspace and the intra-cluster
+    integral one branch at a time; every number must equal, bit for bit,
+    the allocating evaluation over the whole tensor."""
+
+    CASES = [
+        (AssociationModel.UNIFORM, CoverageFlags()),
+        (AssociationModel.CLOSEST, CoverageFlags()),
+        (AssociationModel.CLOSEST_LOS, CoverageFlags()),
+        (AssociationModel.CLOSEST, CoverageFlags(use_assumption1=True)),
+        (AssociationModel.UNIFORM, CoverageFlags(use_assumption2=True)),
+    ]
+
+    @pytest.mark.parametrize("model, flags", CASES)
+    def test_coverage_chunk_exponent_bit_identical(self, cfg, model, flags):
+        # one v-chunk of the exact bound: t over (branch, v node, r node)
+        c = replace(cfg, scatter_std=10.0, mean_active=3.0)
+        sigma = c.scatter_std
+        if flags.use_assumption1:
+            v = np.zeros((1, 1))
+            r_hi = (analytical._TAIL_SIGMAS + 5.0) * sigma
+            w_rule = (analytical._R_FRACS, analytical._R_ORDER)
+        else:
+            v = np.array([[0.3], [4.0], [11.0], [26.0]])
+            r_hi = v + analytical._TAIL_SIGMAS * sigma
+            w_rule = (analytical._W_FRACS, analytical._W_ORDER)
+        u_r, _ = relative_template(analytical._R_FRACS, analytical._R_ORDER)
+        r = r_hi * u_r
+        _, t_coefs, alphas, _ = analytical._branches(
+            10.0, c, not flags.use_assumption2 and model is not AssociationModel.CLOSEST_LOS)
+        t = t_coefs * r ** alphas
+        mine = analytical._intra_exponent(model, t, v, r, flags, c, w_rule)
+        ref = _allocating_intra_exponent(model, t, v, r, flags, c, w_rule)
+        assert mine.shape == ref.shape == t.shape
+        assert np.array_equal(mine, ref)
+
+    @pytest.mark.parametrize("model", list(AssociationModel))
+    def test_scalar_exponent_bit_identical(self, cfg, model):
+        # the laplace_intra path: scalar t, v and serving distance
+        w_rule = (analytical._R_FRACS, analytical._R_ORDER)
+        for t in (1e-3, 0.3, 7.0):
+            mine = analytical._intra_exponent(model, t, 9.0, 3.0, CoverageFlags(), cfg, w_rule)
+            ref = _allocating_intra_exponent(model, t, 9.0, 3.0, CoverageFlags(), cfg, w_rule)
+            assert mine == ref
+
+    def test_public_kernels_bit_identical(self, cfg):
+        table = cfg.gain_table()
+        rs = np.linspace(0.5, 80.0, 37)
+        s = np.array([[0.1], [3.0]])
+        assert np.array_equal(kernel_los(s, rs, 2, table, cfg.channel),
+                              _allocating_kernel(2 * s, rs, cfg, include_nlos=False))
+        assert np.array_equal(kernel_nlos(s, rs, 2, table, cfg.channel),
+                              _allocating_kernel(2 * s, rs, cfg, include_los=False))
+        assert kernel_los(0.7, 4.0, 1, table, cfg.channel) \
+            == _allocating_kernel(0.7, 4.0, cfg, include_nlos=False)
+
+    @pytest.mark.parametrize("model", [AssociationModel.UNIFORM, AssociationModel.CLOSEST])
+    def test_exact_coverage_memory_peak(self, cfg, model):
+        # one exact call traces about 3.5 MB; the bound leaves room for that
+        # but not for whole kernel tensors allocated per v-chunk (11-15 MB)
+        c = replace(cfg, scatter_std=10.0, mean_active=3.0)
+        analytical._geometry_table(c)
+        tracemalloc.start()
+        try:
+            coverage(model, 10.0, cfg=c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestLaplaceIntra:
@@ -347,7 +480,6 @@ class TestCoverage:
         assert mine == pytest.approx(ref, rel=2e-3)
 
     def test_assumption1_matches_scalar_composition(self, cfg):
-        from mmwcluster.model import serving_distance_pdf_approx
         gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
         ch = cfg.channel
         table = cfg.gain_table()
@@ -415,7 +547,6 @@ class TestCoverage:
     def test_all_clear_limit_matches_los_only_composition(self, cfg):
         # near-zero blockage rate: the blocked branch contributes nothing and
         # coverage reduces to the unblocked alternating sum alone
-        from mmwcluster.model import serving_distance_pdf_approx
         clear = replace(cfg, channel=replace(cfg.channel, blockage_rate=1e-12))
         gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
         ch = clear.channel

@@ -200,6 +200,15 @@ class TestSweep:
         b = run_sweep(cfg, spec, tmp_path / "b.csv", seed=3, trials=500, threads=8)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_exact_engine_byte_stable_across_threads(self, cfg, tmp_path):
+        # concurrent exact-bound rows must not share kernel scratch memory
+        spec = SweepSpec(axis="gamma_th_db", values=(0.0, 10.0),
+                         models=tuple(AssociationModel), engines=("analytical",),
+                         config_overrides=(("scatter_std", 10.0), ("mean_active", 3.0)))
+        a = run_sweep(cfg, spec, tmp_path / "a.csv", threads=1)
+        b = run_sweep(cfg, spec, tmp_path / "b.csv", threads=2)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_threads_build_each_table_once(self, cfg, tmp_path):
         # both threads start on the same cold geometry: one builds the
         # inter-cluster table and the other waits for it
