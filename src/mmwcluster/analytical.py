@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -143,33 +143,74 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _bracket_mean(scaled: np.ndarray, gains: np.ndarray, probs: np.ndarray,
-                  shape: int, out: np.ndarray, tmp: np.ndarray) -> None:
-    """Write sum_i b_i * (1 + a_i * scaled / N)^(-N), the mean fading-and-gain
-    Laplace factor, into ``out``; ``scaled`` is t * intercept * w^(-alpha) and
-    ``tmp`` scratch of the same shape."""
-    out.fill(0.0)
-    for a_i, b_i in zip(gains, probs):
-        np.multiply(a_i, scaled, out=tmp)
-        np.divide(tmp, shape, out=tmp)
-        np.log1p(tmp, out=tmp)
-        np.multiply(-shape, tmp, out=tmp)
-        np.exp(tmp, out=tmp)
-        np.multiply(b_i, tmp, out=tmp)
-        np.add(out, tmp, out=out)
+def _link_mean(scaled: np.ndarray, gains, probs, shape: int,
+               out: np.ndarray, y: np.ndarray, q: np.ndarray) -> None:
+    """Write sum_i b_i * (1 - (1 + y_i)^(-N)) with y_i = a_i * scaled / N, one
+    link's mean fading-and-gain kernel, into ``out``; ``scaled`` is
+    t * intercept * w^(-alpha) and ``y``, ``q`` scratch of its shape.
+
+    For integer N, 1 - (1 + y)^(-N) = q / (1 + q) with q = (1 + y)^N - 1 =
+    sum_k C(N, k) y^k, evaluated by Horner's rule.  Every term is positive and
+    no transcendental function is called, so the kernel keeps full relative
+    accuracy at small y, where 1 - exp(-N log1p(y)) cancels.  y is capped
+    where the result rounds to 1, so (1 + y)^N stays below 2^1000.
+    """
+    cap = 2.0 ** (1000.0 / shape) - 1.0
+    coefs = [math.comb(shape, k) for k in range(shape - 1, 0, -1)]
+    # q is y itself when N = 1; the other buffer then takes 1 + q
+    num, den = (q, y) if coefs else (y, q)
+    for i, (a_i, b_i) in enumerate(zip(gains, probs)):
+        np.multiply(scaled, a_i / shape, out=y)
+        np.minimum(y, cap, out=y)
+        acc = y
+        for c in coefs:
+            np.add(acc, c, out=q)
+            np.multiply(q, y, out=q)
+            acc = q
+        np.add(num, 1.0, out=den)
+        np.divide(num, den, out=den)
+        np.multiply(den, b_i, out=den if i else out)
+        if i:
+            np.add(out, den, out=out)
+
+
+def _check_fading_shapes(ch: ChannelParams) -> None:
+    """Reject fading shapes above 10: the bound's alternating binomial sums
+    lose precision there, and the kernel's binomial coefficients grow past
+    the float range near N = 1030."""
+    for name in ("nakagami_los", "nakagami_nlos"):
+        if getattr(ch, name) > 10:
+            raise UsageError(f"{name} must be <= 10")
+
+
+def _link(ch: ChannelParams, w: np.ndarray, los: bool, weight=None):
+    """The w-only factors of one link kind at distances ``w``: intercept *
+    w^(-alpha), the Nakagami shape and the link-probability weight (None for
+    a link counted with weight 1)."""
+    if los:
+        return ch.intercept_los * w ** (-ch.alpha_los), ch.nakagami_los, weight
+    return ch.intercept_nlos * w ** (-ch.alpha_nlos), ch.nakagami_nlos, weight
+
+
+def _links(ch: ChannelParams, w: np.ndarray):
+    """Both link kinds at distances ``w``, each weighted by its probability."""
+    p_los = np.exp(-ch.blockage_rate * w)
+    return _link(ch, w, True, p_los), _link(ch, w, False, 1.0 - p_los)
 
 
 def kernel_los(s, r, n: int, table: GainTable, channel: ChannelParams):
-    """Per-interferer unblocked-link kernel at Laplace argument s (order n)."""
-    return _kernel(s, r, n, table, channel, include_nlos=False)
+    """Per-interferer unblocked-link kernel at Laplace argument s (order n); a sum
+    of positive terms, it keeps full relative accuracy where it is small."""
+    return _kernel(s, r, n, table, channel, los=True)
 
 
 def kernel_nlos(s, r, n: int, table: GainTable, channel: ChannelParams):
-    """Per-interferer blocked-link kernel at Laplace argument s (order n)."""
-    return _kernel(s, r, n, table, channel, include_los=False)
+    """Per-interferer blocked-link kernel at Laplace argument s (order n); a sum
+    of positive terms, it keeps full relative accuracy where it is small."""
+    return _kernel(s, r, n, table, channel, los=False)
 
 
-def _kernel(s, r, n, table, channel, **branch):
+def _kernel(s, r, n, table, channel, los: bool):
     s_arr = np.asarray(s, dtype=float)
     r_arr = np.asarray(r, dtype=float)
     if np.any(s_arr < 0.0):
@@ -178,43 +219,34 @@ def _kernel(s, r, n, table, channel, **branch):
         raise ValueError("r must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_fading_shapes(channel)
     gains, probs = table.as_arrays()
-    out = _kernel_grid(n * s_arr, r_arr, gains, probs, channel, **branch)
+    p_los = np.exp(-channel.blockage_rate * r_arr)
+    link = _link(channel, r_arr, los, p_los if los else 1.0 - p_los)
+    out = _kernel_grid(n * s_arr, (link,), gains, probs)
     if np.ndim(s) == 0 and np.ndim(r) == 0:
         return float(out)
     return out
 
 
-def _kernel_grid(t: np.ndarray, w: np.ndarray, gains, probs, ch: ChannelParams,
-                 include_los: bool = True, include_nlos: bool = True,
-                 blockage_weights: bool = True, ws: _Workspace | None = None) -> np.ndarray:
-    """(Q + Z)(t, w) on broadcastable tensors.
-
-    ``blockage_weights=False`` drops the exp(-eps*w) LOS-probability weights
-    (all links treated as unblocked), which is what the noise-free
-    intra-only special case uses.  The result is a view into ``ws`` (a fresh
-    workspace when None), overwritten by the next kernel call on it.
+def _kernel_grid(t, links, gains, probs, ws: _Workspace | None = None) -> np.ndarray:
+    """(Q + Z)(t, w): the sum over ``links`` (from :func:`_link`, all at the
+    same w) of each link's weight times its mean kernel, with t broadcast
+    against w.  The result is a view into ``ws`` (a fresh workspace when
+    None), overwritten by the next kernel call on it.
     """
     ws = _Workspace() if ws is None else ws
-    shape = np.broadcast_shapes(np.shape(t), np.shape(w))
-    scaled, tmp = ws.take("scaled", shape), ws.take("tmp", shape)
-    links = []
-    if include_los:
-        links.append((ch.intercept_los, ch.alpha_los, ch.nakagami_los,
-                      np.exp(-ch.blockage_rate * w) if blockage_weights else None))
-    if include_nlos:
-        links.append((ch.intercept_nlos, ch.alpha_nlos, ch.nakagami_nlos,
-                      1.0 - np.exp(-ch.blockage_rate * w) if blockage_weights else None))
+    shape = np.broadcast_shapes(np.shape(t), np.shape(links[0][0]))
+    scaled, y, q = (ws.take(name, shape) for name in ("scaled", "y", "q"))
     out = ws.take("kernel", shape)
-    for k, (intercept, alpha, n_shape, weight) in enumerate(links):
-        bra = out if k == 0 else ws.take("link", shape)
-        np.multiply(t, intercept * w ** (-alpha), out=scaled)
-        _bracket_mean(scaled, gains, probs, n_shape, bra, tmp)
-        np.subtract(1.0, bra, out=bra)
+    for k, (ell, n_shape, weight) in enumerate(links):
+        acc = out if k == 0 else ws.take("link", shape)
+        np.multiply(t, ell, out=scaled)
+        _link_mean(scaled, gains, probs, n_shape, acc, y, q)
         if weight is not None:
-            np.multiply(bra, weight, out=bra)
+            np.multiply(acc, weight, out=acc)
         if k:
-            np.add(out, bra, out=out)
+            np.add(out, acc, out=out)
     return out
 
 
@@ -246,10 +278,11 @@ def _inter_integrals(cfg: NetworkConfig, t: np.ndarray,
     def panel_integrals(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
         """I of each panel, shape (t, panel, v), and v * w, shape (panel, v)."""
         vwv, w, pdf_w = _inter_panels(edges, sigma)
+        links = _links(ch, w[None])
         inner = np.empty((t.size,) + vwv.shape)
         for k0 in range(0, t.size, 16):
             sl = slice(k0, min(k0 + 16, t.size))
-            kern = _kernel_grid(t[sl, None, None, None], w[None], gains, probs, ch, ws=ws)
+            kern = _kernel_grid(t[sl, None, None, None], links, gains, probs, ws)
             inner[sl] = np.einsum("kpvw,pvw->kpv", kern, pdf_w)
         return inner, vwv
 
@@ -418,7 +451,6 @@ def _geometry_table(cfg: NetworkConfig) -> _InterTable:
 def _inter_table_key(cfg: NetworkConfig) -> NetworkConfig:
     """Strip the fields the inter-cluster table does not depend on (load,
     threshold, boresight gain and noise), so sweeps over them reuse it."""
-    from dataclasses import replace
     return replace(cfg, gamma_th_db=0.0, boresight_gain=None, noise_power=0.0,
                    mean_active=1.0)
 
@@ -433,6 +465,7 @@ def laplace_inter(n: int, s: float, cfg: NetworkConfig) -> float:
         raise UsageError("n must be >= 1")
     if s < 0.0:
         raise UsageError("s must be >= 0")
+    _check_fading_shapes(cfg.channel)
     h = float(_inter_exponent(cfg, np.array([n * s]))[0])
     return math.exp(-h)
 
@@ -458,34 +491,35 @@ def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFla
     sigma = cfg.scatter_std
     gains, probs = cfg.gain_table().as_arrays()
     t_w = np.asarray(t, dtype=float)[..., None]
-    blockage_weights = not flags.use_assumption2
     u, wt = relative_template(*w_rule)
     ws = _Workspace() if ws is None else ws
 
-    def integral(w, pdf, **branch):
+    def integral(links, pdf):
         # a t with an axis of its own (the bound's branches) is integrated
         # one slice of that axis at a time, which keeps the kernel block small
         out = np.empty(np.broadcast_shapes(t_w.shape, pdf.shape)[:-1])
         for t_b, out_b in (zip(t_w, out) if t_w.ndim > pdf.ndim else [(t_w, out)]):
-            kern = _kernel_grid(t_b, w, gains, probs, ch, ws=ws, **branch)
+            kern = _kernel_grid(t_b, links, gains, probs, ws)
             np.einsum("...w,...w->...", kern, pdf, out=out_b)
         return out
+
+    def all_links(w):
+        # assumption 2 counts every interferer as unblocked, with weight 1
+        return (_link(ch, w, True),) if flags.use_assumption2 else _links(ch, w)
 
     if flags.use_assumption1:
         # the unconditioned law is the uniform model's approximate serving law
         hi = (_TAIL_SIGMAS + 5.0) * sigma
         w = u * hi
         pdf = serving_distance_pdf_approx(AssociationModel.UNIFORM, w, cfg) * wt * hi
-        return integral(w, pdf, include_nlos=blockage_weights,
-                        blockage_weights=blockage_weights)
+        return integral(all_links(w), pdf)
 
     v_w = np.asarray(v, dtype=float)[..., None]
     hi = v_w + _TAIL_SIGMAS * sigma
     w = hi * u
     if model is AssociationModel.UNIFORM:
         pdf = interferer_distance_pdf(model, w, v_w, None, cfg) * (hi * wt)
-        return integral(w, pdf, include_nlos=blockage_weights,
-                        blockage_weights=blockage_weights)
+        return integral(all_links(w), pdf)
 
     # the law truncated beyond the serving distance: every nearest-model
     # interferer and the unblocked nearest-unblocked ones
@@ -495,10 +529,12 @@ def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFla
     w2 = r_w + span * u2
     pdf2 = interferer_distance_pdf(model, w2, v_w, r_w, cfg) * span * wt2
     if model is AssociationModel.CLOSEST:
-        return integral(w2, pdf2)
+        return integral(_links(ch, w2), pdf2)
     # the blocked nearest-unblocked interferers keep the untruncated law
     pdf = interferer_distance_pdf(model, w, v_w, None, cfg, interferer_is_los=False) * (hi * wt)
-    return integral(w2, pdf2, include_nlos=False) + integral(w, pdf, include_los=False)
+    los = _link(ch, w2, True, np.exp(-ch.blockage_rate * w2))
+    nlos = _link(ch, w, False, 1.0 - np.exp(-ch.blockage_rate * w))
+    return integral((los,), pdf2) + integral((nlos,), pdf)
 
 
 def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
@@ -521,6 +557,7 @@ def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
         raise UsageError("s must be >= 0")
     if v is None or v < 0.0:
         raise UsageError("v must be >= 0")
+    _check_fading_shapes(cfg.channel)
     if flags.use_assumption2 and model is not AssociationModel.UNIFORM:
         raise UsageError("the noise-free LOS-only special case is defined for "
                          "the uniform model only")
@@ -564,10 +601,7 @@ def _validate_coverage_args(model, gamma_th, flags, cfg):
     if flags.use_assumption2 and model is not AssociationModel.UNIFORM:
         raise UsageError("the noise-free LOS-only special case is defined for "
                          "the uniform model only")
-    for name in ("nakagami_los", "nakagami_nlos"):
-        if getattr(cfg.channel, name) > 10:
-            raise UsageError("alternating binomial sums are only safe for "
-                             "fading shapes <= 10")
+    _check_fading_shapes(cfg.channel)
 
 
 def _coverage_raw(model: AssociationModel, gamma_th: float,

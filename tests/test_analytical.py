@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +94,40 @@ class TestKernels:
                 assert np.all(total <= 1.0 + 1e-12)
                 assert np.all(total >= 0.0)
 
+    def test_rejects_large_fading_shape(self, cfg):
+        bad = replace(cfg, channel=replace(cfg.channel, nakagami_los=11))
+        with pytest.raises(UsageError):
+            kernel_los(1.0, 5.0, 1, bad.gain_table(), bad.channel)
+        with pytest.raises(UsageError):
+            laplace_inter(1, 1.0, bad)
+        with pytest.raises(UsageError):
+            laplace_intra(AssociationModel.UNIFORM, 1, 1.0, 5.0, cfg=bad)
+
+
+class TestLinkMean:
+    """The kernel of one gain outcome, 1 - (1 + y)^(-N), against exact rational
+    arithmetic on the float y, rounded once."""
+
+    # y^N overflows at the top values for every N > 1
+    YS = np.concatenate([[0.0], np.geomspace(1e-20, 1e20, 401),
+                         [1e200, 1e300, np.finfo(float).max]])
+
+    @pytest.mark.parametrize("shape", range(1, 11))
+    def test_matches_exact_rational(self, shape):
+        ys = self.YS
+        out, y, q = np.empty(ys.shape), np.empty(ys.shape), np.empty(ys.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a single outcome of gain N and probability 1 makes y exactly ys
+            analytical._link_mean(ys, np.array([float(shape)]), np.array([1.0]), shape,
+                                  out, y, q)
+        ref = np.array([float(1 - 1 / (1 + Fraction(v)) ** shape) for v in ys])
+        assert not np.any(np.isnan(out))
+        assert out[0] == ref[0] == 0.0
+        # Horner's last add and multiply, 1 + q and the divide round once each,
+        # by at most eps / 2 relative apiece at small y
+        assert np.max(np.abs(out[1:] - ref[1:]) / ref[1:]) <= 2.0 * np.finfo(float).eps
+
 
 def _allocating_kernel(t, w, cfg, include_los=True, include_nlos=True,
                        blockage_weights=True):
@@ -100,19 +136,25 @@ def _allocating_kernel(t, w, cfg, include_los=True, include_nlos=True,
     ch = cfg.channel
     gains, probs = cfg.gain_table().as_arrays()
 
-    def bracket(scaled, shape):
-        acc = np.zeros_like(scaled)
+    def link_mean(ell, shape):
+        # 1 - (1 + y)^(-N) = q / (1 + q), q = (1 + y)^N - 1 by Horner's rule
+        acc = 0.0
         for a_i, b_i in zip(gains, probs):
-            acc += b_i * np.exp(-shape * np.log1p(a_i * scaled / shape))
+            y = np.minimum(t * ell * (a_i / shape), 2.0 ** (1000.0 / shape) - 1.0)
+            q = y
+            for k in range(shape - 1, 0, -1):
+                q = (q + math.comb(shape, k)) * y
+            acc = acc + q / (q + 1.0) * b_i
         return acc
 
+    p_los = np.exp(-ch.blockage_rate * w)
     out = 0.0
     if include_los:
-        bra = 1.0 - bracket(t * (ch.intercept_los * w ** (-ch.alpha_los)), ch.nakagami_los)
-        out = out + (bra * np.exp(-ch.blockage_rate * w) if blockage_weights else bra)
+        bra = link_mean(ch.intercept_los * w ** (-ch.alpha_los), ch.nakagami_los)
+        out = out + (bra * p_los if blockage_weights else bra)
     if include_nlos:
-        bra = 1.0 - bracket(t * (ch.intercept_nlos * w ** (-ch.alpha_nlos)), ch.nakagami_nlos)
-        out = out + (bra * (1.0 - np.exp(-ch.blockage_rate * w)) if blockage_weights else bra)
+        bra = link_mean(ch.intercept_nlos * w ** (-ch.alpha_nlos), ch.nakagami_nlos)
+        out = out + (bra * (1.0 - p_los) if blockage_weights else bra)
     return out
 
 
@@ -424,13 +466,13 @@ class TestCoverage:
     # pinned values of the whole bound, so that a changed quadrature constant,
     # panel rule or distance law shows
     RECORDED = [
-        (AssociationModel.UNIFORM, CoverageFlags(), 0.33542381274043925),
-        (AssociationModel.CLOSEST, CoverageFlags(), 0.938962882596011),
-        (AssociationModel.CLOSEST_LOS, CoverageFlags(), 0.9898378392396764),
-        (AssociationModel.UNIFORM, CoverageFlags(use_assumption1=True), 0.339069902107471),
-        (AssociationModel.CLOSEST, CoverageFlags(use_assumption1=True), 0.9587565214479028),
+        (AssociationModel.UNIFORM, CoverageFlags(), 0.3354238126274668),
+        (AssociationModel.CLOSEST, CoverageFlags(), 0.9389628825392727),
+        (AssociationModel.CLOSEST_LOS, CoverageFlags(), 0.9898378392241644),
+        (AssociationModel.UNIFORM, CoverageFlags(use_assumption1=True), 0.3390699019923585),
+        (AssociationModel.CLOSEST, CoverageFlags(use_assumption1=True), 0.9587565214182381),
         (AssociationModel.CLOSEST_LOS, CoverageFlags(use_assumption1=True),
-         0.9917598537315659),
+         0.9917598537197911),
         (AssociationModel.UNIFORM, CoverageFlags(use_assumption2=True), 0.9219671025716968),
     ]
 
