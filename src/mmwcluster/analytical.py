@@ -604,15 +604,21 @@ def _validate_coverage_args(model, gamma_th, flags, cfg):
     _check_fading_shapes(cfg.channel)
 
 
-def _coverage_raw(model: AssociationModel, gamma_th: float,
-                  flags: CoverageFlags, cfg: NetworkConfig) -> float:
-    """Alternating branch sum of the bound, integrated over the serving
-    distance r and, unless ``use_assumption1`` drops the conditioning, the
-    cluster-center distance v (a single v node otherwise)."""
+def _coverage_raw(model: AssociationModel, gamma_th: float, flags: CoverageFlags,
+                  cfg: NetworkConfig, loads) -> list[float]:
+    """Alternating branch sum of the bound at each of ``loads`` (mean active
+    counts), integrated over the serving distance r and, unless
+    ``use_assumption1`` drops the conditioning, the cluster-center distance v
+    (a single v node otherwise).
+
+    The load enters only as the power of the intra-cluster factor
+    exp(-(load - 1) J) and through the inter-cluster table, so the serving
+    law, t and J of each v-chunk are built once and shared by every load.
+    Each load then sums its chunks in chunk order, which also builds its
+    table fit once."""
     _validate_coverage_args(model, gamma_th, flags, cfg)
     ch = cfg.channel
     sigma = cfg.scatter_std
-    sbar = cfg.mean_active
     no_assumption2 = not flags.use_assumption2
     coefs, t_coefs, alphas, los_mask = _branches(
         gamma_th, cfg, no_assumption2 and model is not AssociationModel.CLOSEST_LOS)
@@ -634,7 +640,9 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
         w_rule = (_W_FRACS, _W_ORDER)
     u_r, w_r = relative_template(_R_FRACS, _R_ORDER)
 
-    total = 0.0
+    # the load-independent part of each v-chunk
+    with_intra = any(sbar > 1.0 for sbar in loads)
+    chunks = []
     for c0 in range(0, v_nodes.size, _V_CHUNK):
         v = v_nodes[c0:c0 + _V_CHUNK, None]
         rhi = r_hi[c0:c0 + _V_CHUNK, None]
@@ -645,27 +653,33 @@ def _coverage_raw(model: AssociationModel, gamma_th: float,
         else:
             f_serv = serving_distance_pdf(model, r, v, cfg)
         t = t_coefs * r ** alphas                              # (branch, nv, nr)
+        j = _intra_exponent(model, t, v, r, flags, cfg, w_rule, ws) if with_intra else None
+        chunks.append((r, wr, f_serv, t, j, v_wts[c0:c0 + _V_CHUNK]))
 
-        if sbar <= 1.0:
-            factor = np.ones(t.shape)
-        else:
-            factor = np.exp(-(sbar - 1.0) * _intra_exponent(model, t, v, r, flags,
-                                                            cfg, w_rule, ws))
-        if table is not None:
-            factor = factor * np.exp(-table.exponent(t, sbar))
-        if no_assumption2 and cfg.noise_power > 0.0:
-            factor = factor * np.exp(-t * cfg.noise_power)
-        # serving-link blockage weights per branch
-        if no_assumption2 and model is not AssociationModel.CLOSEST_LOS:
-            p_los = np.exp(-ch.blockage_rate * r)
-            factor = np.where(los_mask, p_los, 1.0 - p_los) * factor
+    totals = []
+    for sbar in loads:
+        total = 0.0
+        for r, wr, f_serv, t, j, vw in chunks:
+            if sbar <= 1.0:
+                factor = np.ones(t.shape)
+            else:
+                factor = np.exp(-(sbar - 1.0) * j)
+            if table is not None:
+                factor = factor * np.exp(-table.exponent(t, sbar))
+            if no_assumption2 and cfg.noise_power > 0.0:
+                factor = factor * np.exp(-t * cfg.noise_power)
+            # serving-link blockage weights per branch
+            if no_assumption2 and model is not AssociationModel.CLOSEST_LOS:
+                p_los = np.exp(-ch.blockage_rate * r)
+                factor = np.where(los_mask, p_los, 1.0 - p_los) * factor
 
-        integrand = np.einsum("b,bvr->vr", coefs, factor)
-        inner = np.sum(integrand * f_serv * wr, axis=1)
-        total += float(np.sum(inner * v_wts[c0:c0 + _V_CHUNK]))
-    if not math.isfinite(total):
-        raise NumericalError("coverage integral did not converge", value=total)
-    return total
+            integrand = np.einsum("b,bvr->vr", coefs, factor)
+            inner = np.sum(integrand * f_serv * wr, axis=1)
+            total += float(np.sum(inner * vw))
+        if not math.isfinite(total):
+            raise NumericalError("coverage integral did not converge", value=total)
+        totals.append(total)
+    return totals
 
 
 def coverage(model: AssociationModel, gamma_th: float,
@@ -678,7 +692,7 @@ def coverage(model: AssociationModel, gamma_th: float,
     """
     if cfg is None:
         raise UsageError("cfg is required")
-    return min(max(_coverage_raw(model, gamma_th, flags, cfg), 0.0), 1.0)
+    return min(max(_coverage_raw(model, gamma_th, flags, cfg, (cfg.mean_active,))[0], 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -749,20 +763,23 @@ def optimize_mean_active(model: AssociationModel, gamma_th: float,
                          coverage_fn=None) -> tuple[int, float]:
     """Exhaustive scan of the mean active-transmitter count for maximum ASE.
 
-    Returns (argmax, max ASE); ties break toward the smaller count.  Every
-    load of the scan shares one inter-cluster table, since the table is kept
-    per geometry.  The optional ``coverage_fn(cfg) -> float`` hook replaces the
-    analytical coverage evaluation (tests use it to scan a known curve).
+    Returns (argmax, max ASE); ties break toward the smaller count.  The scan
+    evaluates the bound at every load in one pass: the loads share one
+    intra-cluster exponent per v-chunk and one inter-cluster table, since
+    neither depends on the load.  The optional ``coverage_fn(cfg) -> float``
+    hook replaces the analytical coverage evaluation, one call per load
+    (tests use it to scan a known curve).
     """
     if cfg is None:
         raise UsageError("cfg is required")
+    cfgs = [cfg.with_mean_active(float(s_bar)) for s_bar in range(1, cfg.cluster_tx_count + 1)]
+    if coverage_fn is not None:
+        covs = [coverage_fn(cfg_s) for cfg_s in cfgs]
+    else:
+        raws = _coverage_raw(model, gamma_th, flags, cfg, [c.mean_active for c in cfgs])
+        covs = [min(max(raw, 0.0), 1.0) for raw in raws]
     best_s, best_ase = 1, -math.inf
-    for s_bar in range(1, cfg.cluster_tx_count + 1):
-        cfg_s = cfg.with_mean_active(float(s_bar))
-        if coverage_fn is not None:
-            cov = coverage_fn(cfg_s)
-        else:
-            cov = coverage(model, gamma_th, flags, cfg_s)
+    for s_bar, (cfg_s, cov) in enumerate(zip(cfgs, covs), start=1):
         val = ase_from_coverage(cfg_s, gamma_th, cov)
         if val > best_ase:
             best_s, best_ase = s_bar, val

@@ -452,8 +452,7 @@ class TestApproxBoundProperties:
 
         def bound(g, s):
             # unclamped, so that the [0, 1] check is not vacuous
-            return analytical._coverage_raw(AssociationModel.UNIFORM, g, flags,
-                                            c.with_mean_active(s))
+            return analytical._coverage_raw(AssociationModel.UNIFORM, g, flags, c, (s,))[0]
 
         base = bound(gamma, load)
         assert -1e-9 <= base <= 1.0 + 1e-9
@@ -700,3 +699,47 @@ class TestOptimizeMeanActive:
                                            cfg=small, coverage_fn=lambda c: 0.0)
         assert s_opt == 1
         assert best == 0.0
+
+    SCAN_CASES = [(model, CoverageFlags(use_assumption1=a1))
+                  for model in AssociationModel for a1 in (False, True)] \
+        + [(AssociationModel.UNIFORM, CoverageFlags(use_assumption2=True))]
+
+    @pytest.mark.parametrize("model, flags", SCAN_CASES)
+    def test_scan_equals_per_load_coverage(self, cfg, model, flags):
+        # the one-pass scan gives, bit for bit, the scan of lone coverage calls
+        small = replace(cfg, cluster_tx_count=8, mean_active=1.0)
+        for gamma in (1.0, 100.0):
+            per_load = optimize_mean_active(
+                model, gamma, flags, small,
+                coverage_fn=lambda c: coverage(model, gamma, flags, c))
+            assert optimize_mean_active(model, gamma, flags, small) == per_load
+
+    def test_scan_evaluates_intra_exponent_once(self, cfg, monkeypatch):
+        calls = []
+        intra = analytical._intra_exponent
+
+        def counted(*args):
+            calls.append(args)
+            return intra(*args)
+
+        monkeypatch.setattr(analytical, "_intra_exponent", counted)
+        small = replace(cfg, cluster_tx_count=12, mean_active=1.0)
+        optimize_mean_active(AssociationModel.UNIFORM, 100.0,
+                             CoverageFlags(use_assumption1=True), small)
+        assert len(calls) == 1
+
+    def test_scan_fits_each_load_once(self, cfg, monkeypatch):
+        # loads outside the v-chunks: a chunk-outer order would refit every
+        # load per chunk once the loads outnumber the 64 cached fits
+        fits = []
+        fit_load = analytical._InterTable._fit_load
+
+        def counted(table, load):
+            fits.append(load)
+            return fit_load(table, load)
+
+        monkeypatch.setattr(analytical._InterTable, "_fit_load", counted)
+        analytical._inter_table.cache_clear()
+        large = replace(cfg, cluster_tx_count=70, mean_active=1.0)
+        optimize_mean_active(AssociationModel.UNIFORM, 100.0, CoverageFlags(), large)
+        assert sorted(fits) == [float(s) for s in range(1, 71)]

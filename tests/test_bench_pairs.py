@@ -19,14 +19,14 @@ def bench_pairs():
 
 def _checkout(root: Path, name: str, source: str) -> Path:
     path = root / name
-    (path / "src").mkdir(parents=True)
-    (path / "src" / "engine.py").write_text(source)
+    (path / "src" / "mmwcluster").mkdir(parents=True)
+    (path / "src" / "mmwcluster" / "engine.py").write_text(source)
     (path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 7}))
     return path
 
 
 def test_rounds_append_with_alternating_order(bench_pairs, tmp_path, monkeypatch):
-    parent = _checkout(tmp_path, "parent", "slow = True\n")
+    parent = _checkout(tmp_path, "parent", "slow = True\nwork = 2\n")
     change = _checkout(tmp_path, "change", "slow = False\n")
     calls = []
 
@@ -51,6 +51,9 @@ def test_rounds_append_with_alternating_order(bench_pairs, tmp_path, monkeypatch
     rounds = json.loads(out.read_text())["workloads"]["w"]
     assert [r["first_seed"] for r in rounds] == [1, 11]
     assert rounds[0]["parent"]["source_sha256"] != rounds[0]["change"]["source_sha256"]
+    # the package's line count, as `cat src/mmwcluster/*.py | wc -l` gives it
+    assert [(r["parent"]["source_lines"], r["change"]["source_lines"])
+            for r in rounds] == [(2, 1), (2, 1)]
     wall = rounds[1]["summary"]["wall_s"]
     assert wall["change"]["median"] == pytest.approx(1.12)
     assert (wall["change_wins"], wall["parent_wins"]) == (3, 0)

@@ -10,7 +10,8 @@ The parent goes first on even pairs and the change on odd ones, so a drift of
 the host between runs falls on both sides alike.
 
 Each call appends one round to the list ``workloads[W]`` of the output file:
-the first seed, both sides' revisions and source digests, the per-pair
+the first seed, both sides' revisions, source digests and source line counts
+(``src/mmwcluster/*.py``, as ``cat | wc -l`` counts them), the per-pair
 end-to-end metrics and, per metric, each side's median and quartiles, the
 pairs the change won and lost (lower is better; ties count for neither) and
 the ratio of the medians.  Earlier rounds are kept.  Exits 1, writing
@@ -59,6 +60,12 @@ def source_digest(checkout: Path) -> str:
         digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def source_lines(checkout: Path) -> int:
+    """Newlines in ``src/mmwcluster/*.py``: the tracked size of the package."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src" / "mmwcluster").glob("*.py"))
 
 
 def summarize(pairs: list[dict]) -> dict:
@@ -116,7 +123,8 @@ def main(argv: list[str] | None = None) -> int:
         "first_seed": args.seed,
         "run_seconds": seconds,
         **{side: {"revision": revision(getattr(args, side)),
-                  "source_sha256": source_digest(getattr(args, side))}
+                  "source_sha256": source_digest(getattr(args, side)),
+                  "source_lines": source_lines(getattr(args, side))}
            for side in ("parent", "change")},
         "summary": summarize(pairs),
         "pairs": pairs,
