@@ -28,6 +28,7 @@ from .analytical import (
     CoverageFlags,
     ase,
     coverage,
+    coverage_grid,
     coverage_lower_bound,
     kernel_los,
     kernel_nlos,
@@ -66,6 +67,7 @@ __all__ = [
     "build_gain_table",
     "cluster_center_distance_pdf",
     "coverage",
+    "coverage_grid",
     "coverage_lower_bound",
     "default_config",
     "default_noise_power",

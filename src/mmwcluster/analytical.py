@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -58,6 +58,7 @@ __all__ = [
     "laplace_intra",
     "laplace_inter",
     "coverage",
+    "coverage_grid",
     "coverage_lower_bound",
     "lower_bound_constants",
     "ase",
@@ -408,8 +409,9 @@ class _InterTable:
         slope_lo, slope_hi = interp(self._log_t[[0, -1]], nu=1)
         return interp, float(slope_lo), float(slope_hi)
 
-    def exponent(self, t, load: float) -> np.ndarray:
-        interp, slope_lo, slope_hi = self._fit(float(load))
+    def exponent(self, t, load: float, fit=None) -> np.ndarray:
+        """h(t) at ``load``; ``fit``, the load's ``_fit``, skips the cache."""
+        interp, slope_lo, slope_hi = self._fit(float(load)) if fit is None else fit
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros(t_arr.shape)
         pos = t_arr > 0.0
@@ -475,23 +477,59 @@ def laplace_inter(n: int, s: float, cfg: NetworkConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFlags,
-                    cfg: NetworkConfig, w_rule: tuple[tuple[float, ...], int],
-                    ws: _Workspace | None = None) -> np.ndarray:
-    """Per-interferer integral J with L_intra = exp(-(mean_active - 1) * J).
-
-    Broadcasts over t, v and r_serving.  ``w_rule`` is the (panel fractions,
-    order) template of the untruncated interferer-distance integrals; the
-    integrals truncated at the serving distance always use the _W2 template.
-    Under ``use_assumption1`` the interferer distance law collapses to the
-    unconditioned Rayleigh for every model.  The kernel is evaluated in ``ws``
-    (a fresh workspace when None).
+def _intra_laws(model: AssociationModel, v, r_serving, flags: CoverageFlags,
+                cfg: NetworkConfig, w_rule: tuple[tuple[float, ...], int]) -> list:
+    """The interferer-distance laws of J at center distances ``v`` and serving
+    distances ``r_serving``, as (links, weighted density) pairs; none depends
+    on t.  ``w_rule`` is the (panel fractions, order) template of the
+    untruncated laws; the truncated ones use the _W2 template.  Under
+    ``use_assumption1`` the law is the unconditioned Rayleigh for every model.
     """
     ch = cfg.channel
     sigma = cfg.scatter_std
+    u, wt = relative_template(*w_rule)
+
+    def all_links(w):
+        # assumption 2 counts every interferer as unblocked, with weight 1
+        return (_link(ch, w, True),) if flags.use_assumption2 else _links(ch, w)
+
+    if flags.use_assumption1:
+        # the unconditioned law is the uniform model's approximate serving law
+        hi = (_TAIL_SIGMAS + 5.0) * sigma
+        w = u * hi
+        pdf = serving_distance_pdf_approx(AssociationModel.UNIFORM, w, cfg) * wt * hi
+        return [(all_links(w), pdf)]
+
+    v_w = np.asarray(v, dtype=float)[..., None]
+    hi = v_w + _TAIL_SIGMAS * sigma
+    w = hi * u
+    if model is AssociationModel.UNIFORM:
+        pdf = interferer_distance_pdf(model, w, v_w, None, cfg) * (hi * wt)
+        return [(all_links(w), pdf)]
+
+    # the law truncated beyond the serving distance: every nearest-model
+    # interferer and the unblocked nearest-unblocked ones
+    r_w = np.asarray(r_serving, dtype=float)[..., None]
+    u2, wt2 = relative_template(_W2_FRACS, _W2_ORDER)
+    span = np.maximum(hi - r_w, sigma * 1e-9)
+    w2 = r_w + span * u2
+    pdf2 = interferer_distance_pdf(model, w2, v_w, r_w, cfg) * span * wt2
+    if model is AssociationModel.CLOSEST:
+        return [(_links(ch, w2), pdf2)]
+    # the blocked nearest-unblocked interferers keep the untruncated law
+    pdf = interferer_distance_pdf(model, w, v_w, None, cfg, interferer_is_los=False) * (hi * wt)
+    los = _link(ch, w2, True, np.exp(-ch.blockage_rate * w2))
+    nlos = _link(ch, w, False, 1.0 - np.exp(-ch.blockage_rate * w))
+    return [((los,), pdf2), ((nlos,), pdf)]
+
+
+def _intra_exponent(laws, t, cfg: NetworkConfig, ws: _Workspace | None = None) -> np.ndarray:
+    """Per-interferer integral J with L_intra = exp(-(mean_active - 1) * J)
+    at ``t``, over the laws of :func:`_intra_laws`, broadcast against them.
+    The kernel is evaluated in ``ws`` (a fresh workspace when None).
+    """
     gains, probs = cfg.gain_table().as_arrays()
     t_w = np.asarray(t, dtype=float)[..., None]
-    u, wt = relative_template(*w_rule)
     ws = _Workspace() if ws is None else ws
 
     def integral(links, pdf):
@@ -503,38 +541,7 @@ def _intra_exponent(model: AssociationModel, t, v, r_serving, flags: CoverageFla
             np.einsum("...w,...w->...", kern, pdf, out=out_b)
         return out
 
-    def all_links(w):
-        # assumption 2 counts every interferer as unblocked, with weight 1
-        return (_link(ch, w, True),) if flags.use_assumption2 else _links(ch, w)
-
-    if flags.use_assumption1:
-        # the unconditioned law is the uniform model's approximate serving law
-        hi = (_TAIL_SIGMAS + 5.0) * sigma
-        w = u * hi
-        pdf = serving_distance_pdf_approx(AssociationModel.UNIFORM, w, cfg) * wt * hi
-        return integral(all_links(w), pdf)
-
-    v_w = np.asarray(v, dtype=float)[..., None]
-    hi = v_w + _TAIL_SIGMAS * sigma
-    w = hi * u
-    if model is AssociationModel.UNIFORM:
-        pdf = interferer_distance_pdf(model, w, v_w, None, cfg) * (hi * wt)
-        return integral(all_links(w), pdf)
-
-    # the law truncated beyond the serving distance: every nearest-model
-    # interferer and the unblocked nearest-unblocked ones
-    r_w = np.asarray(r_serving, dtype=float)[..., None]
-    u2, wt2 = relative_template(_W2_FRACS, _W2_ORDER)
-    span = np.maximum(hi - r_w, sigma * 1e-9)
-    w2 = r_w + span * u2
-    pdf2 = interferer_distance_pdf(model, w2, v_w, r_w, cfg) * span * wt2
-    if model is AssociationModel.CLOSEST:
-        return integral(_links(ch, w2), pdf2)
-    # the blocked nearest-unblocked interferers keep the untruncated law
-    pdf = interferer_distance_pdf(model, w, v_w, None, cfg, interferer_is_los=False) * (hi * wt)
-    los = _link(ch, w2, True, np.exp(-ch.blockage_rate * w2))
-    nlos = _link(ch, w, False, 1.0 - np.exp(-ch.blockage_rate * w))
-    return integral((los,), pdf2) + integral((nlos,), pdf)
+    return reduce(np.add, (integral(*law) for law in laws))
 
 
 def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
@@ -570,7 +577,8 @@ def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
         return 1.0
     if s == 0.0:
         return 1.0
-    j = _intra_exponent(model, float(n * s), v, r_serving, flags, cfg, (_R_FRACS, _R_ORDER))
+    laws = _intra_laws(model, v, r_serving, flags, cfg, (_R_FRACS, _R_ORDER))
+    j = _intra_exponent(laws, float(n * s), cfg)
     return float(np.exp(-(cfg.mean_active - 1.0) * j))
 
 
@@ -604,26 +612,31 @@ def _validate_coverage_args(model, gamma_th, flags, cfg):
     _check_fading_shapes(cfg.channel)
 
 
-def _coverage_raw(model: AssociationModel, gamma_th: float, flags: CoverageFlags,
-                  cfg: NetworkConfig, loads) -> list[float]:
-    """Alternating branch sum of the bound at each of ``loads`` (mean active
-    counts), integrated over the serving distance r and, unless
+def _coverage_raw(model: AssociationModel, gammas, flags: CoverageFlags,
+                  cfg: NetworkConfig, loads) -> list[list[float]]:
+    """Alternating branch sum of the bound at each threshold of ``gammas``
+    (linear) and each of ``loads`` (mean active counts), one row per
+    threshold, integrated over the serving distance r and, unless
     ``use_assumption1`` drops the conditioning, the cluster-center distance v
     (a single v node otherwise).
 
-    The load enters only as the power of the intra-cluster factor
-    exp(-(load - 1) J) and through the inter-cluster table, so the serving
-    law, t and J of each v-chunk are built once and shared by every load.
-    Each load then sums its chunks in chunk order, which also builds its
-    table fit once."""
-    _validate_coverage_args(model, gamma_th, flags, cfg)
+    Neither threshold nor load changes a distance law, so one pass over the
+    v-chunks serves the grid: each chunk builds its laws once, each threshold
+    its t and J, and each load adds the chunk's term to its own total, in
+    chunk order as a lone call does.  Each load's table fit is resolved once,
+    before the loop, and nothing outlives its chunk."""
+    for gamma_th in gammas:
+        _validate_coverage_args(model, gamma_th, flags, cfg)
     ch = cfg.channel
     sigma = cfg.scatter_std
     no_assumption2 = not flags.use_assumption2
-    coefs, t_coefs, alphas, los_mask = _branches(
-        gamma_th, cfg, no_assumption2 and model is not AssociationModel.CLOSEST_LOS)
+    serving_blockage = no_assumption2 and model is not AssociationModel.CLOSEST_LOS
+    branches = [_branches(gamma_th, cfg, serving_blockage) for gamma_th in gammas]
+    _, _, alphas, los_mask = branches[0]
 
     table = _geometry_table(cfg) if no_assumption2 else None
+    fits = [table._fit(float(sbar)) for sbar in loads] if table else None
+    noisy = no_assumption2 and cfg.noise_power > 0.0
     ws = _Workspace()
 
     # distance law: center-distance nodes, their weights times the center
@@ -640,46 +653,61 @@ def _coverage_raw(model: AssociationModel, gamma_th: float, flags: CoverageFlags
         w_rule = (_W_FRACS, _W_ORDER)
     u_r, w_r = relative_template(_R_FRACS, _R_ORDER)
 
-    # the load-independent part of each v-chunk
     with_intra = any(sbar > 1.0 for sbar in loads)
-    chunks = []
+    totals = [[0.0] * len(loads) for _ in gammas]
     for c0 in range(0, v_nodes.size, _V_CHUNK):
         v = v_nodes[c0:c0 + _V_CHUNK, None]
         rhi = r_hi[c0:c0 + _V_CHUNK, None]
+        vw = v_wts[c0:c0 + _V_CHUNK]
         r = rhi * u_r                                          # (nv, nr)
         wr = rhi * w_r
         if flags.use_assumption1:
             f_serv = serving_distance_pdf_approx(model, r, cfg)
         else:
             f_serv = serving_distance_pdf(model, r, v, cfg)
-        t = t_coefs * r ** alphas                              # (branch, nv, nr)
-        j = _intra_exponent(model, t, v, r, flags, cfg, w_rule, ws) if with_intra else None
-        chunks.append((r, wr, f_serv, t, j, v_wts[c0:c0 + _V_CHUNK]))
-
-    totals = []
-    for sbar in loads:
-        total = 0.0
-        for r, wr, f_serv, t, j, vw in chunks:
-            if sbar <= 1.0:
-                factor = np.ones(t.shape)
-            else:
-                factor = np.exp(-(sbar - 1.0) * j)
-            if table is not None:
-                factor = factor * np.exp(-table.exponent(t, sbar))
-            if no_assumption2 and cfg.noise_power > 0.0:
-                factor = factor * np.exp(-t * cfg.noise_power)
+        r_pow = r ** alphas                                    # (branch, nv, nr)
+        if serving_blockage:
             # serving-link blockage weights per branch
-            if no_assumption2 and model is not AssociationModel.CLOSEST_LOS:
-                p_los = np.exp(-ch.blockage_rate * r)
-                factor = np.where(los_mask, p_los, 1.0 - p_los) * factor
+            p_los = np.exp(-ch.blockage_rate * r)
+            serv_wt = np.where(los_mask, p_los, 1.0 - p_los)
+        laws = _intra_laws(model, v, r, flags, cfg, w_rule) if with_intra else None
 
-            integrand = np.einsum("b,bvr->vr", coefs, factor)
-            inner = np.sum(integrand * f_serv * wr, axis=1)
-            total += float(np.sum(inner * vw))
-        if not math.isfinite(total):
-            raise NumericalError("coverage integral did not converge", value=total)
-        totals.append(total)
+        for (coefs, t_coefs, _, _), row in zip(branches, totals):
+            t = t_coefs * r_pow
+            j = _intra_exponent(laws, t, cfg, ws) if with_intra else None
+            noise = np.exp(-t * cfg.noise_power) if noisy else None
+            for k, sbar in enumerate(loads):
+                if sbar <= 1.0:
+                    factor = np.ones(t.shape)
+                else:
+                    factor = np.exp(-(sbar - 1.0) * j)
+                if table is not None:
+                    factor = factor * np.exp(-table.exponent(t, sbar, fits[k]))
+                if noisy:
+                    factor = factor * noise
+                if serving_blockage:
+                    factor = serv_wt * factor
+                integrand = np.einsum("b,bvr->vr", coefs, factor)
+                inner = np.sum(integrand * f_serv * wr, axis=1)
+                row[k] += float(np.sum(inner * vw))
+        # let the chunk's laws go before the next chunk builds its own
+        del laws
+
+    for total in (x for row in totals for x in row if not math.isfinite(x)):
+        raise NumericalError("coverage integral did not converge", value=total)
     return totals
+
+
+def coverage_grid(model: AssociationModel, gammas, loads,
+                  flags: CoverageFlags = CoverageFlags(),
+                  cfg: NetworkConfig | None = None) -> list[list[float]]:
+    """:func:`coverage` at each threshold of ``gammas`` (linear) and load of
+    ``loads``, one row per threshold, from one pass over the distance laws;
+    each value equals the lone call with that threshold and load, bit for bit."""
+    if cfg is None:
+        raise UsageError("cfg is required")
+    return [[min(max(raw, 0.0), 1.0) for raw in row]
+            for row in _coverage_raw(model, gammas, flags, cfg, loads)]
 
 
 def coverage(model: AssociationModel, gamma_th: float,
@@ -692,7 +720,7 @@ def coverage(model: AssociationModel, gamma_th: float,
     """
     if cfg is None:
         raise UsageError("cfg is required")
-    return min(max(_coverage_raw(model, gamma_th, flags, cfg, (cfg.mean_active,))[0], 0.0), 1.0)
+    return coverage_grid(model, (gamma_th,), (cfg.mean_active,), flags, cfg)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +792,9 @@ def optimize_mean_active(model: AssociationModel, gamma_th: float,
     """Exhaustive scan of the mean active-transmitter count for maximum ASE.
 
     Returns (argmax, max ASE); ties break toward the smaller count.  The scan
-    evaluates the bound at every load in one pass: the loads share one
-    intra-cluster exponent per v-chunk and one inter-cluster table, since
-    neither depends on the load.  The optional ``coverage_fn(cfg) -> float``
+    is the one-threshold row of :func:`coverage_grid`: the loads share the
+    distance laws and J of each v-chunk and one inter-cluster table, since
+    none of them depends on the load.  The optional ``coverage_fn(cfg) -> float``
     hook replaces the analytical coverage evaluation, one call per load
     (tests use it to scan a known curve).
     """
@@ -776,8 +804,7 @@ def optimize_mean_active(model: AssociationModel, gamma_th: float,
     if coverage_fn is not None:
         covs = [coverage_fn(cfg_s) for cfg_s in cfgs]
     else:
-        raws = _coverage_raw(model, gamma_th, flags, cfg, [c.mean_active for c in cfgs])
-        covs = [min(max(raw, 0.0), 1.0) for raw in raws]
+        covs = coverage_grid(model, (gamma_th,), [c.mean_active for c in cfgs], flags, cfg)[0]
     best_s, best_ase = 1, -math.inf
     for s_bar, (cfg_s, cov) in enumerate(zip(cfgs, covs), start=1):
         val = ase_from_coverage(cfg_s, gamma_th, cov)

@@ -140,6 +140,13 @@ def evaluate_engines(cfg: NetworkConfig, rows: Sequence[tuple[AssociationModel, 
     return results
 
 
+def _csv_line(axis_value: float, model: AssociationModel, engine: str, value, ci,
+              upper: bool, seed: int, error: str) -> str:
+    # only Monte Carlo rows carry a half-width, and only they are seeded
+    return ",".join([_format(axis_value), model.value, engine, _format(value), _format(ci),
+                     "true" if upper else "false", "" if ci is None else str(seed), error])
+
+
 def _evaluate_point(cfg: NetworkConfig, pairs: list[tuple[AssociationModel, str]],
                     metric: str, axis_value: float, seed: int, trials: int) -> list[str]:
     """The CSV rows of one work item; a numerical failure fills ``error`` of
@@ -150,37 +157,67 @@ def _evaluate_point(cfg: NetworkConfig, pairs: list[tuple[AssociationModel, str]
     except (UsageError, NumericalError) as exc:
         results = [(None, None, engine in _UPPER_BOUND_ENGINES) for _, engine in pairs]
         error = str(exc).replace(",", ";")
-    # only Monte Carlo rows carry a half-width, and only they are seeded
-    return [",".join([_format(axis_value), model.value, engine, _format(value), _format(ci),
-                      "true" if upper else "false", "" if ci is None else str(seed), error])
+    return [_csv_line(axis_value, model, engine, value, ci, upper, seed, error)
             for (model, engine), (value, ci, upper) in zip(pairs, results)]
+
+
+def _evaluate_curve(cfgs: list[NetworkConfig], pair: tuple[AssociationModel, str],
+                    spec: SweepSpec, seeds: list[int], trials: int) -> list[str]:
+    """The CSV rows of one analytical curve along the threshold or load axis
+    from one :func:`analytical.coverage_grid` call.  If that call fails, each
+    row is evaluated alone, so that a failure stays with its own point."""
+    model, engine = pair
+    gammas = [10.0 ** (c.gamma_th_db / 10.0) for c in cfgs]
+    loads = [c.mean_active for c in cfgs]
+    along_loads = spec.axis == "mean_active"
+    try:
+        grid = analytical.coverage_grid(
+            model, gammas[:1] if along_loads else gammas, loads if along_loads else loads[:1],
+            CoverageFlags(use_assumption1=engine == "analytical_approx"), cfgs[0])
+    except (UsageError, NumericalError):
+        return [_evaluate_point(c, [pair], spec.metric, value, seed, trials)[0]
+                for c, value, seed in zip(cfgs, spec.values, seeds)]
+    covs = [cov for row in grid for cov in row]
+    if spec.metric == "ase":
+        covs = [analytical.ase_from_coverage(c, g, cov) for c, g, cov in zip(cfgs, gammas, covs)]
+    return [_csv_line(value, model, engine, cov, None, True, seed, "")
+            for value, cov, seed in zip(spec.values, covs, seeds)]
 
 
 def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_path: str | Path,
               seed: int = 1, trials: int = 20_000, threads: int = 1) -> Path:
     """Evaluate the sweep and write the CSV; returns the output path.
 
-    Each analytical row is one work item.  The Monte Carlo rows of one axis
-    value are one more: they share the point's seed and so its sampled
-    worlds.  Per-point numerical failures land in the ``error`` column
-    instead of aborting the sweep.
+    Each analytical row is one work item, except along the threshold or load
+    axis, where each analytical (model, engine) curve is one.  The Monte
+    Carlo rows of one axis value are one more: they share the point's seed
+    and so its sampled worlds.  Per-point numerical failures land in the
+    ``error`` column instead of aborting the sweep.
     """
     base_cfg = cfg
     for key, value in spec.config_overrides:
         base_cfg = apply_override(base_cfg, key, value)
     cfgs = [apply_override(base_cfg, spec.axis, value) for value in spec.values]
+    seeds = [_row_seed(seed, i) for i in range(len(spec.values))]
 
     pairs = [(model, engine) for model in spec.models for engine in spec.engines]
     mc = [k for k, (_, engine) in enumerate(pairs) if engine.startswith("montecarlo")]
-    # row positions within an axis value of each work item: every analytical
-    # row alone, and all the Monte Carlo rows together
-    groups = [[k] for k in range(len(pairs)) if k not in mc] + ([mc] if mc else [])
-    items = [(i, ks) for i in range(len(spec.values)) for ks in groups]
+    curves = [k for k, (_, engine) in enumerate(pairs) if engine in _UPPER_BOUND_ENGINES] \
+        if spec.axis in ("gamma_th_db", "mean_active") else []
+    # the (axis value, row) cells of each work item: each curve along the
+    # axis, every other analytical row alone, and the Monte Carlo rows of
+    # each axis value together
+    groups = [[k] for k in range(len(pairs)) if k not in mc and k not in curves] \
+        + ([mc] if mc else [])
+    items = [[(i, k) for i in range(len(spec.values))] for k in curves] \
+        + [[(i, k) for k in ks] for i in range(len(spec.values)) for ks in groups]
 
-    def work(item):
-        i, ks = item
-        return _evaluate_point(cfgs[i], [pairs[k] for k in ks], spec.metric,
-                               spec.values[i], _row_seed(seed, i), trials)
+    def work(cells):
+        i, k = cells[0]
+        if k in curves:
+            return _evaluate_curve(cfgs, pairs[k], spec, seeds, trials)
+        return _evaluate_point(cfgs[i], [pairs[k] for _, k in cells], spec.metric,
+                               spec.values[i], seeds[i], trials)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -188,8 +225,8 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_path: str | Path,
     else:
         results = [work(item) for item in items]
     rows = [""] * (len(spec.values) * len(pairs))
-    for (i, ks), lines in zip(items, results):
-        for k, line in zip(ks, lines):
+    for cells, lines in zip(items, results):
+        for (i, k), line in zip(cells, lines):
             rows[i * len(pairs) + k] = line
 
     out_path = Path(out_path)

@@ -19,6 +19,7 @@ from mmwcluster.analytical import (
     ase,
     ase_from_coverage,
     coverage,
+    coverage_grid,
     coverage_lower_bound,
     gamma_cdf_bound_coefficient,
     kernel_los,
@@ -222,7 +223,8 @@ class TestKernelWorkspace:
         _, t_coefs, alphas, _ = analytical._branches(
             10.0, c, not flags.use_assumption2 and model is not AssociationModel.CLOSEST_LOS)
         t = t_coefs * r ** alphas
-        mine = analytical._intra_exponent(model, t, v, r, flags, c, w_rule)
+        mine = analytical._intra_exponent(
+            analytical._intra_laws(model, v, r, flags, c, w_rule), t, c)
         ref = _allocating_intra_exponent(model, t, v, r, flags, c, w_rule)
         assert mine.shape == ref.shape == t.shape
         assert np.array_equal(mine, ref)
@@ -232,7 +234,8 @@ class TestKernelWorkspace:
         # the laplace_intra path: scalar t, v and serving distance
         w_rule = (analytical._R_FRACS, analytical._R_ORDER)
         for t in (1e-3, 0.3, 7.0):
-            mine = analytical._intra_exponent(model, t, 9.0, 3.0, CoverageFlags(), cfg, w_rule)
+            laws = analytical._intra_laws(model, 9.0, 3.0, CoverageFlags(), cfg, w_rule)
+            mine = analytical._intra_exponent(laws, t, cfg)
             ref = _allocating_intra_exponent(model, t, 9.0, 3.0, CoverageFlags(), cfg, w_rule)
             assert mine == ref
 
@@ -247,10 +250,13 @@ class TestKernelWorkspace:
         assert kernel_los(0.7, 4.0, 1, table, cfg.channel) \
             == _allocating_kernel(0.7, 4.0, cfg, include_nlos=False)
 
-    @pytest.mark.parametrize("model", [AssociationModel.UNIFORM, AssociationModel.CLOSEST])
+    @pytest.mark.parametrize("model", list(AssociationModel))
     def test_exact_coverage_memory_peak(self, cfg, model):
-        # one exact call traces about 3.5 MB; the bound leaves room for that
-        # but not for whole kernel tensors allocated per v-chunk (11-15 MB)
+        # one exact call traces 3.1 / 4.4 / 5.4 MB (uniform / closest /
+        # closest_los; 4.0 MB for closest_los once its LOS-weighted serving
+        # CDFs are cached); the bound leaves room for that but not for whole
+        # kernel tensors allocated per v-chunk (11-15 MB), nor for the
+        # distance laws of two v-chunks alive at once
         c = replace(cfg, scatter_std=10.0, mean_active=3.0)
         analytical._geometry_table(c)
         tracemalloc.start()
@@ -452,7 +458,7 @@ class TestApproxBoundProperties:
 
         def bound(g, s):
             # unclamped, so that the [0, 1] check is not vacuous
-            return analytical._coverage_raw(AssociationModel.UNIFORM, g, flags, c, (s,))[0]
+            return analytical._coverage_raw(AssociationModel.UNIFORM, (g,), flags, c, (s,))[0][0]
 
         base = bound(gamma, load)
         assert -1e-9 <= base <= 1.0 + 1e-9
@@ -611,6 +617,40 @@ class TestCoverage:
         assert ref_err < 5e-4 * ref  # the reference itself converged
         mine = coverage(AssociationModel.UNIFORM, gamma, flags, clear)
         assert mine == pytest.approx(ref, rel=2e-3)
+
+
+class TestCoverageGrid:
+    """One pass over the v-chunks evaluates a whole threshold-by-load grid;
+    every cell must equal, bit for bit, the lone coverage call."""
+
+    CASES = [(model, CoverageFlags(use_assumption1=a1))
+             for model in AssociationModel for a1 in (False, True)] \
+        + [(AssociationModel.UNIFORM, CoverageFlags(use_assumption2=True))]
+
+    @pytest.mark.parametrize("model, flags", CASES)
+    def test_grid_equals_lone_calls(self, cfg, model, flags):
+        c = replace(cfg, scatter_std=10.0, mean_active=3.0)
+        gammas, loads = (1.0, 10.0, 100.0), (1.0, 2.5, 6.0)
+        grid = coverage_grid(model, gammas, loads, flags, c)
+        assert grid == [[coverage(model, g, flags, c.with_mean_active(s)) for s in loads]
+                        for g in gammas]
+
+    def test_thresholds_share_the_distance_laws(self, cfg, monkeypatch):
+        # a 5-threshold exact nearest-model grid builds the truncated
+        # interferer law once per v-chunk, not once per chunk and threshold
+        calls = []
+        law = analytical.interferer_distance_pdf
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return law(*args, **kwargs)
+
+        monkeypatch.setattr(analytical, "interferer_distance_pdf", counted)
+        c = replace(cfg, scatter_std=10.0, mean_active=3.0)
+        coverage_grid(AssociationModel.CLOSEST, (1.0, 3.0, 10.0, 30.0, 100.0), (3.0,),
+                      CoverageFlags(), c)
+        v_nodes = (len(analytical._V_EDGE_SIGMAS) - 1) * analytical._V_ORDER
+        assert len(calls) == math.ceil(v_nodes / analytical._V_CHUNK)
 
 
 class TestLowerBound:

@@ -21,7 +21,7 @@ from mmwcluster.config import (
     default_config,
     parse_config,
 )
-from mmwcluster.errors import ConfigError
+from mmwcluster.errors import ConfigError, NumericalError
 from mmwcluster.model import AssociationModel
 from mmwcluster.montecarlo import IidExponential, LosBall, SinrOptions, estimate_coverage
 from mmwcluster.sweep import (
@@ -288,6 +288,68 @@ class TestSweep:
                 assert "edge-bias guard" in fields[7] and fields[3] == ""
             else:
                 assert fields[3] and not fields[7]
+
+    @pytest.mark.parametrize("axis, values, metric", [
+        ("gamma_th_db", (0.0, 12.5, 30.0), "coverage"),
+        ("mean_active", (1.0, 2.5, 6.0), "ase"),
+    ])
+    def test_analytical_curves_equal_lone_calls(self, cfg, tmp_path, axis, values, metric):
+        # each analytical curve is one grid call; its rows must be the bytes
+        # of lone coverage/ase calls, on any thread count
+        spec = SweepSpec(axis=axis, values=values, models=tuple(AssociationModel),
+                         engines=("analytical", "analytical_approx", "lower_bound"),
+                         metric=metric,
+                         config_overrides=(("carrier_hz", 60e9), ("scatter_std", 10.0),
+                                           ("mean_active", 3.0), ("gamma_th_db", 10.0)))
+        base = cfg
+        for key, value in spec.config_overrides:
+            base = apply_override(base, key, value)
+        lines = [CSV_HEADER]
+        for value in values:
+            point = apply_override(base, axis, value)
+            gamma = 10.0 ** (point.gamma_th_db / 10.0)
+            for model in spec.models:
+                covs = {"analytical": analytical.coverage(model, gamma, cfg=point),
+                        "analytical_approx": analytical.coverage(
+                            model, gamma, analytical.CoverageFlags(use_assumption1=True), point),
+                        "lower_bound": analytical.coverage_lower_bound(gamma, point)}
+                for engine in spec.engines:
+                    val = covs[engine]
+                    if metric == "ase":
+                        val = ase_from_coverage(point, gamma, val)
+                    upper = "false" if engine == "lower_bound" else "true"
+                    lines.append(f"{value:.9g},{model.value},{engine},{val:.9g},,{upper},,")
+        expected = ("\n".join(lines) + "\n").encode()
+        for threads in (1, 2):
+            out = run_sweep(cfg, spec, tmp_path / f"s{threads}.csv", threads=threads)
+            assert out.read_bytes() == expected
+
+    def test_curve_failure_stays_with_its_point(self, cfg, tmp_path, monkeypatch):
+        # a failing load makes the grid call fail; the curve's rows are then
+        # evaluated alone and only that load's row carries the error
+        raw = analytical._coverage_raw
+
+        def failing(model, gammas, flags, c, loads):
+            if 3.0 in loads:
+                raise NumericalError("forced failure, for the test", value=math.nan)
+            return raw(model, gammas, flags, c, loads)
+
+        monkeypatch.setattr(analytical, "_coverage_raw", failing)
+        spec = SweepSpec(axis="mean_active", values=(2.0, 3.0, 4.0),
+                         models=(AssociationModel.UNIFORM,), engines=("analytical_approx",))
+        out = run_sweep(cfg, spec, tmp_path / "s.csv", threads=2)
+        monkeypatch.undo()
+        flags = analytical.CoverageFlags(use_assumption1=True)
+        gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
+        for line in out.read_text().splitlines()[1:]:
+            fields = line.split(",")
+            if fields[0] == "3":
+                assert fields[3] == "" and "forced failure" in fields[7]
+            else:
+                load = float(fields[0])
+                lone = analytical.coverage(AssociationModel.UNIFORM, gamma, flags,
+                                           cfg.with_mean_active(load))
+                assert fields[3] == f"{lone:.9g}" and fields[7] == ""
 
     def test_figure_presets_enumerate(self):
         for fig in ("2a", "2b", "3a", "3b", "4a", "4b", "5a", "5b"):
