@@ -12,11 +12,10 @@ import sys
 from pathlib import Path
 
 from . import analytical
-from .analytical import CoverageFlags
 from .config import apply_override, default_config, parse_config
 from .errors import ConfigError, NumericalError, UsageError
 from .model import AssociationModel
-from .sweep import evaluate_engines, figure_specs, parse_sweep_spec, run_sweep
+from .sweep import BOUND_ENGINES, evaluate_engines, figure_specs, parse_sweep_spec, run_sweep
 from .validate import run_validation
 
 _MODEL_CHOICES = [m.value for m in AssociationModel] + ["all"]
@@ -98,8 +97,7 @@ def main(argv: list[str] | None = None) -> int:
                                               "for maximum area spectral efficiency")
     _add_common(p_opt)
     p_opt.add_argument("--model", choices=_MODEL_CHOICES, default="uniform")
-    p_opt.add_argument("--engine", choices=["analytical", "analytical_approx"],
-                       default="analytical_approx")
+    p_opt.add_argument("--engine", choices=list(BOUND_ENGINES), default="analytical_approx")
     p_opt.add_argument("--gamma-db", type=float, default=None)
 
     p_val = sub.add_parser("validate", help="run the self-validation checks")
@@ -132,9 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "optimize-s":
             cfg = _load_config(args)
             gamma = 10.0 ** (cfg.gamma_th_db / 10.0)
-            flags = CoverageFlags(use_assumption1=(args.engine == "analytical_approx"))
             for model in _models(args):
-                s_opt, ase_opt = analytical.optimize_mean_active(model, gamma, flags, cfg)
+                s_opt, ase_opt = analytical.optimize_mean_active(
+                    model, gamma, BOUND_ENGINES[args.engine], cfg)
                 print(f"{model.value:12s} optimal mean_active = {s_opt}  "
                       f"ase = {ase_opt:.9g} bit/s/Hz/m^2  [upper-bound based]")
             return 0

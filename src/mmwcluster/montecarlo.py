@@ -13,6 +13,7 @@ matter how calls are scheduled or how many worker threads drive a sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -151,6 +152,11 @@ def _gain_draw(u: np.ndarray, cum_probs: np.ndarray, gains: np.ndarray) -> np.nd
     return gains[np.searchsorted(cum_probs, u)]
 
 
+def _fading(rng, shape: int, size) -> np.ndarray:
+    """Unit-mean Nakagami power fading: Gamma(shape, 1/shape) draws."""
+    return rng.gamma(shape, 1.0 / shape, size)
+
+
 def _link_loss(d: np.ndarray, ch) -> tuple[np.ndarray, np.ndarray]:
     """LOS and NLOS path loss, with distances clamped to the 1 m reference."""
     dc = np.maximum(d, 1.0)
@@ -185,11 +191,9 @@ class _FieldBlock:
         loss_los, loss_nlos = _link_loss(d, ch)
         self.u_los = rng.random(total_d)
         gain = _gain_draw(rng.random(total_d), cum_probs, gains)
-        self.power_los = gain * rng.gamma(ch.nakagami_los, 1.0 / ch.nakagami_los, total_d) \
-            * loss_los
+        self.power_los = gain * _fading(rng, ch.nakagami_los, total_d) * loss_los
         del loss_los
-        self.power_nlos = gain * rng.gamma(ch.nakagami_nlos, 1.0 / ch.nakagami_nlos, total_d) \
-            * loss_nlos
+        self.power_nlos = gain * _fading(rng, ch.nakagami_nlos, total_d) * loss_nlos
         del loss_nlos, gain
         self.trial = np.repeat(np.repeat(np.arange(n), n_clusters), counts)
         self.d = d
@@ -225,8 +229,8 @@ class _TypicalBlock:
         self.u_los = rng.random((n, m))
         scores = rng.random((n, m))
         gain = _gain_draw(rng.random((n, m)), cum_probs, gains)
-        self.fading_los = rng.gamma(ch.nakagami_los, 1.0 / ch.nakagami_los, (n, m))
-        self.fading_nlos = rng.gamma(ch.nakagami_nlos, 1.0 / ch.nakagami_nlos, (n, m))
+        self.fading_los = _fading(rng, ch.nakagami_los, (n, m))
+        self.fading_nlos = _fading(rng, ch.nakagami_nlos, (n, m))
         # rank[i, j] = position of candidate j in a uniform random permutation;
         # used to pick the random interferer subset among non-serving candidates.
         perm = np.argsort(scores, axis=1)
@@ -343,24 +347,21 @@ def estimate_coverage_many(cfg: NetworkConfig, gamma_th: float, cases: Sequence[
     def block_successes(rng, size: int) -> np.ndarray:
         typical = _TypicalBlock(rng, cfg, size, gains, cum_probs)
         field = _FieldBlock(rng, cfg, size, gains, cum_probs) if need_inter else None
-        hits = np.zeros(len(cases), dtype=np.int64)
-        flag_cache: dict[tuple, np.ndarray] = {}
-        field_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        serving_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        for ci, (model, options, blockage) in enumerate(cases):
-            bkey = (blockage, options.force_los)
-            if bkey not in flag_cache:
-                flag_cache[bkey] = typical.flags(blockage, rate, options.force_los)
-            flag = flag_cache[bkey]
-            skey = (model, bkey)
-            if skey not in serving_cache:
-                serving_cache[skey] = typical.serving(model, flag)
-            serving_idx, failed = serving_cache[skey]
-            if options.include_inter and bkey not in field_cache:
-                field_cache[bkey] = field.interference(blockage, rate, options.force_los)
+        # cases with the same blockage law share its link flags, its field
+        # sums and, per model, its association
+        flags = functools.cache(typical.flags)
+        interference = functools.cache(field.interference) if need_inter else None
 
+        @functools.cache
+        def serving(model, *law):
+            return typical.serving(model, flags(*law))
+
+        hits = np.zeros(len(cases), dtype=np.int64)
+        for ci, (model, options, blockage) in enumerate(cases):
+            law = (blockage, rate, options.force_los)
             num, den = _sinr_terms(cfg, table.boresight_gain, options, typical,
-                                   serving_idx, failed, flag, field_cache.get(bkey))
+                                   *serving(model, *law), flags(*law),
+                                   interference(*law) if options.include_inter else None)
             hits[ci] = np.count_nonzero(num > gamma_th * den)
         return hits
 
@@ -409,38 +410,26 @@ def _conditioned_candidates(rng, cfg: NetworkConfig, model: AssociationModel,
     center = np.array([v, 0.0])
     offsets = rng.normal(0.0, sigma, (size, m, 2))
     d = np.hypot(offsets[..., 0] + center[0], offsets[..., 1] + center[1])
-    if model is AssociationModel.UNIFORM:
-        u_los = rng.random((size, m))
-        flag = _los_flags(d, u_los, blockage, rate, False)
-        return d, flag
-    if model is AssociationModel.CLOSEST:
+    # nearest association draws the blockage of its final candidates only;
+    # the other models draw it first, and a redrawn candidate draws its own
+    nearest = model is AssociationModel.CLOSEST
+    if not nearest:
+        flag = _los_flags(d, rng.random((size, m)), blockage, rate, False)
+    if model is not AssociationModel.UNIFORM:
         for _ in range(10_000):
-            bad = d <= r_serving
+            bad = (d <= r_serving) if nearest else flag & (d <= r_serving)
             n_bad = int(np.count_nonzero(bad))
             if n_bad == 0:
                 break
             fresh = rng.normal(0.0, sigma, (n_bad, 2))
-            d[bad] = np.hypot(fresh[:, 0] + center[0], fresh[:, 1] + center[1])
+            d_new = np.hypot(fresh[:, 0] + center[0], fresh[:, 1] + center[1])
+            d[bad] = d_new
+            if not nearest:
+                flag[bad] = _los_flags(d_new, rng.random(n_bad), blockage, rate, False)
         else:
             raise UsageError("rejection sampling stalled; serving distance too deep in the tail")
-        u_los = rng.random((size, m))
-        flag = _los_flags(d, u_los, blockage, rate, False)
-        return d, flag
-    # nearest-unblocked: redraw candidates that are unblocked *and* inside r_serving
-    u_los = rng.random((size, m))
-    flag = _los_flags(d, u_los, blockage, rate, False)
-    for _ in range(10_000):
-        bad = flag & (d <= r_serving)
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad == 0:
-            break
-        fresh = rng.normal(0.0, sigma, (n_bad, 2))
-        d_new = np.hypot(fresh[:, 0] + center[0], fresh[:, 1] + center[1])
-        u_new = rng.random(n_bad)
-        d[bad] = d_new
-        flag[bad] = _los_flags(d_new, u_new, blockage, rate, False)
-    else:
-        raise UsageError("rejection sampling stalled; serving distance too deep in the tail")
+    if nearest:
+        flag = _los_flags(d, rng.random((size, m)), blockage, rate, False)
     return d, flag
 
 
@@ -484,8 +473,8 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
             d, flag = _conditioned_candidates(rng, cfg, model, v, r_serving or 0.0,
                                               size, blockage)
             gain = _gain_draw(rng.random((size, m)), cum_probs, gains)
-            g_los = rng.gamma(ch.nakagami_los, 1.0 / ch.nakagami_los, (size, m))
-            g_nlos = rng.gamma(ch.nakagami_nlos, 1.0 / ch.nakagami_nlos, (size, m))
+            g_los = _fading(rng, ch.nakagami_los, (size, m))
+            g_nlos = _fading(rng, ch.nakagami_nlos, (size, m))
             loss_los, loss_nlos = _link_loss(d, ch)
             power = np.where(flag, gain * g_los * loss_los, gain * g_nlos * loss_nlos)
             active = np.arange(m) < counts[:, None]

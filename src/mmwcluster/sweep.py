@@ -29,8 +29,10 @@ __all__ = ["SweepSpec", "run_sweep", "figure_specs", "parse_sweep_spec", "evalua
 CSV_HEADER = "axis_value,model,engine,coverage_or_ase,ci_half_width,is_upper_bound,seed,error"
 
 _AXES = ("mean_active", "gamma_th_db", "scatter_std", "carrier_hz", "avg_los_distance")
-_BASE_ENGINES = ("analytical", "analytical_approx", "lower_bound", "montecarlo")
-_UPPER_BOUND_ENGINES = ("analytical", "analytical_approx")
+# the upper-bound engines and the bound flags each evaluates
+BOUND_ENGINES = {"analytical": CoverageFlags(),
+                 "analytical_approx": CoverageFlags(use_assumption1=True)}
+_BASE_ENGINES = (*BOUND_ENGINES, "lower_bound", "montecarlo")
 _MC_VARIANTS = {
     "intra_only": dict(include_inter=False),
     "inter_only": dict(include_intra=False),
@@ -123,10 +125,8 @@ def evaluate_engines(cfg: NetworkConfig, rows: Sequence[tuple[AssociationModel, 
     results = []
     for model, base, _ in parsed:
         ci = None
-        if base == "analytical":
-            value = analytical.coverage(model, gamma, CoverageFlags(), cfg)
-        elif base == "analytical_approx":
-            value = analytical.coverage(model, gamma, CoverageFlags(use_assumption1=True), cfg)
+        if base in BOUND_ENGINES:
+            value = analytical.coverage(model, gamma, BOUND_ENGINES[base], cfg)
         elif base == "lower_bound":
             value = analytical.coverage_lower_bound(gamma, cfg)
         else:
@@ -136,7 +136,7 @@ def evaluate_engines(cfg: NetworkConfig, rows: Sequence[tuple[AssociationModel, 
             value = analytical.ase_from_coverage(cfg, gamma, value)
             if ci is not None:
                 ci = analytical.ase_from_coverage(cfg, gamma, ci)
-        results.append((value, ci, base in _UPPER_BOUND_ENGINES))
+        results.append((value, ci, base in BOUND_ENGINES))
     return results
 
 
@@ -155,7 +155,7 @@ def _evaluate_point(cfg: NetworkConfig, pairs: list[tuple[AssociationModel, str]
     try:
         results = evaluate_engines(cfg, pairs, metric, seed, trials)
     except (UsageError, NumericalError) as exc:
-        results = [(None, None, engine in _UPPER_BOUND_ENGINES) for _, engine in pairs]
+        results = [(None, None, engine in BOUND_ENGINES) for _, engine in pairs]
         error = str(exc).replace(",", ";")
     return [_csv_line(axis_value, model, engine, value, ci, upper, seed, error)
             for (model, engine), (value, ci, upper) in zip(pairs, results)]
@@ -173,7 +173,7 @@ def _evaluate_curve(cfgs: list[NetworkConfig], pair: tuple[AssociationModel, str
     try:
         grid = analytical.coverage_grid(
             model, gammas[:1] if along_loads else gammas, loads if along_loads else loads[:1],
-            CoverageFlags(use_assumption1=engine == "analytical_approx"), cfgs[0])
+            BOUND_ENGINES[engine], cfgs[0])
     except (UsageError, NumericalError):
         return [_evaluate_point(c, [pair], spec.metric, value, seed, trials)[0]
                 for c, value, seed in zip(cfgs, spec.values, seeds)]
@@ -202,7 +202,7 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_path: str | Path,
 
     pairs = [(model, engine) for model in spec.models for engine in spec.engines]
     mc = [k for k, (_, engine) in enumerate(pairs) if engine.startswith("montecarlo")]
-    curves = [k for k, (_, engine) in enumerate(pairs) if engine in _UPPER_BOUND_ENGINES] \
+    curves = [k for k, (_, engine) in enumerate(pairs) if engine in BOUND_ENGINES] \
         if spec.axis in ("gamma_th_db", "mean_active") else []
     # the (axis value, row) cells of each work item: each curve along the
     # axis, every other analytical row alone, and the Monte Carlo rows of

@@ -122,13 +122,13 @@ def run_validation(cfg: NetworkConfig, n_trials: int = 20_000, seed: int = 1,
     # Monte Carlo micro-checks
     rng = np.random.Generator(np.random.Philox(key=(seed << 64) | 0xFAD))
     for shape in (cfg.channel.nakagami_los, cfg.channel.nakagami_nlos):
-        draws = rng.gamma(shape, 1.0 / shape, 1_000_000)
+        draws = montecarlo._fading(rng, shape, 1_000_000)
         add(f"fading_unit_mean_shape{shape}", abs(float(draws.mean()) - 1.0), 0.01)
 
     draws = rng.random(1_000_000)
-    cum = np.cumsum(table.probabilities)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, draws)
+    # outcome indices for gains: the two mixed outcomes share one gain
+    _, cum = montecarlo._gain_law(table)
+    idx = montecarlo._gain_draw(draws, cum, np.arange(cum.size))
     err = 0.0
     for i, b in enumerate(table.probabilities):
         freq = float(np.mean(idx == i))
@@ -139,7 +139,8 @@ def run_validation(cfg: NetworkConfig, n_trials: int = 20_000, seed: int = 1,
     dists = np.array([5.0, 15.0, 30.0, 60.0])
     u = rng.random((200_000, dists.size))
     p = np.exp(-cfg.channel.blockage_rate * dists)
-    emp = (u < p).mean(axis=0)
+    emp = montecarlo._los_flags(dists, u, montecarlo.IidExponential(),
+                                cfg.channel.blockage_rate, False).mean(axis=0)
     z = np.abs(emp - p) / np.sqrt(p * (1.0 - p) / u.shape[0])
     add("los_fraction_z", float(z.max()), 3.5)
 

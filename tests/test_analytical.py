@@ -224,7 +224,7 @@ class TestKernelWorkspace:
             10.0, c, not flags.use_assumption2 and model is not AssociationModel.CLOSEST_LOS)
         t = t_coefs * r ** alphas
         mine = analytical._intra_exponent(
-            analytical._intra_laws(model, v, r, flags, c, w_rule), t, c)
+            analytical._intra_laws(model, v, r, flags, c, w_rule), t, c, analytical._Workspace())
         ref = _allocating_intra_exponent(model, t, v, r, flags, c, w_rule)
         assert mine.shape == ref.shape == t.shape
         assert np.array_equal(mine, ref)
@@ -235,7 +235,7 @@ class TestKernelWorkspace:
         w_rule = (analytical._R_FRACS, analytical._R_ORDER)
         for t in (1e-3, 0.3, 7.0):
             laws = analytical._intra_laws(model, 9.0, 3.0, CoverageFlags(), cfg, w_rule)
-            mine = analytical._intra_exponent(laws, t, cfg)
+            mine = analytical._intra_exponent(laws, t, cfg, analytical._Workspace())
             ref = _allocating_intra_exponent(model, t, 9.0, 3.0, CoverageFlags(), cfg, w_rule)
             assert mine == ref
 
@@ -425,7 +425,7 @@ class TestInterTable:
         for load in (1.0, 2.5, float(cfg.cluster_tx_count)):
             direct = analytical._inter_exponent(geometry.with_mean_active(load), t)
             # 3e-5 is the relative tolerance of the outer tail rule
-            assert table.exponent(t, load) == pytest.approx(direct, rel=3e-5, abs=0.0)
+            assert table.exponent(t, table._fit(load)) == pytest.approx(direct, rel=3e-5, abs=0.0)
 
     def test_load_scan_builds_one_table(self, cfg):
         analytical._inter_table.cache_clear()

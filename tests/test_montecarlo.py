@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mmwcluster.analytical import gamma_cdf_bound_coefficient
 from mmwcluster.config import default_config
 from mmwcluster.errors import UsageError
 from mmwcluster.model import AssociationModel, serving_distance_pdf
@@ -18,6 +19,10 @@ from mmwcluster.montecarlo import (
     laplace_oracle,
     sample_realization,
     simulate_sinr,
+    _fading,
+    _gain_draw,
+    _gain_law,
+    _los_flags,
 )
 from mmwcluster._quadrature import CumulativeQuadrature
 
@@ -185,11 +190,22 @@ class TestEstimateCoverage:
         assert est.half_width_95 == pytest.approx(expected, rel=1e-12)
 
     def test_many_matches_single(self, cfg):
+        # cases that share a blockage law (and so its link flags, field sums
+        # and, per model, association) with others and cases that do not
+        ball = LosBall(30.0)
         cases = [(AssociationModel.UNIFORM, SinrOptions(), IidExponential()),
-                 (AssociationModel.CLOSEST, SinrOptions(), IidExponential())]
+                 (AssociationModel.CLOSEST, SinrOptions(), IidExponential()),
+                 (AssociationModel.CLOSEST_LOS, SinrOptions(), ball),
+                 (AssociationModel.CLOSEST_LOS, SinrOptions(force_los=True), IidExponential()),
+                 (AssociationModel.CLOSEST_LOS, SinrOptions(include_inter=False),
+                  IidExponential()),
+                 (AssociationModel.CLOSEST, SinrOptions(include_intra=False, force_los=True),
+                  ball),
+                 (AssociationModel.UNIFORM, SinrOptions(include_inter=False), ball)]
         many = estimate_coverage_many(cfg, 100.0, cases, 3000, 31)
-        single = estimate_coverage(cfg, AssociationModel.UNIFORM, 100.0, 3000, 31)
-        assert many[0] == single
+        for (model, options, blockage), est in zip(cases, many):
+            assert est == estimate_coverage(cfg, model, 100.0, 3000, 31,
+                                            blockage=blockage, options=options)
 
     def test_model_ordering_with_shared_worlds(self, cfg):
         sigma20 = replace(cfg, scatter_std=20.0)
@@ -214,19 +230,21 @@ class TestEstimateCoverage:
 
 
 class TestFadingAndGainDraws:
+    """The engine's own draws of a link's fading, gain outcome and blockage."""
+
     def test_fading_unit_mean(self, cfg):
         rng = _rng(51)
         for shape in (cfg.channel.nakagami_los, cfg.channel.nakagami_nlos):
-            draws = rng.gamma(shape, 1.0 / shape, 1_000_000)
+            draws = _fading(rng, shape, 1_000_000)
             assert abs(draws.mean() - 1.0) < 0.01
 
     def test_gain_frequencies(self, cfg):
         table = cfg.gain_table()
         rng = _rng(53)
         u = rng.random(1_000_000)
-        cum = np.cumsum(table.probabilities)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, u)
+        # outcome indices for gains: the two mixed outcomes share one gain
+        _, cum = _gain_law(table)
+        idx = _gain_draw(u, cum, np.arange(cum.size))
         for i, b in enumerate(table.probabilities):
             freq = np.mean(idx == i)
             se = math.sqrt(b * (1 - b) / u.size)
@@ -235,9 +253,10 @@ class TestFadingAndGainDraws:
     def test_los_fraction_matches_exponential(self, cfg):
         rng = _rng(57)
         n = 200_000
+        rate = cfg.channel.blockage_rate
         for d in (5.0, 20.0, 50.0):
-            p = math.exp(-cfg.channel.blockage_rate * d)
-            emp = float((rng.random(n) < p).mean())
+            p = math.exp(-rate * d)
+            emp = float(_los_flags(d, rng.random(n), IidExponential(), rate, False).mean())
             assert abs(emp - p) <= 3.9 * math.sqrt(p * (1 - p) / n)
 
 
@@ -260,6 +279,33 @@ class TestLaplaceOracle:
         with pytest.raises(UsageError):
             laplace_oracle(cfg, AssociationModel.CLOSEST, "intra", 1.0, 1, 100, 1,
                            v=5.0)
+
+    # recorded before the rejection sampler's two loops became one: the
+    # conditioned oracle must keep every draw, in the same order
+    RECORDED_INTRA = [
+        (AssociationModel.UNIFORM, IidExponential(),
+         [0.7881187194301346, 0.6663526240330756, 0.5430451286865121]),
+        (AssociationModel.CLOSEST, IidExponential(),
+         [0.8243819431224162, 0.7114565006458755, 0.5848796847116825]),
+        (AssociationModel.CLOSEST_LOS, IidExponential(),
+         [0.8220868943426604, 0.7023474391804567, 0.5727434404150012]),
+        (AssociationModel.UNIFORM, LosBall(20.0),
+         [0.7239304395904784, 0.5752104598606149, 0.4336234740510096]),
+        (AssociationModel.CLOSEST, LosBall(20.0),
+         [0.7596429287734618, 0.6158259271043897, 0.4641179779110519]),
+        (AssociationModel.CLOSEST_LOS, LosBall(20.0),
+         [0.7452625204563591, 0.5987729763880287, 0.45122434097624264]),
+    ]
+
+    @pytest.mark.parametrize("model, blockage, values", RECORDED_INTRA)
+    def test_intra_values_unchanged(self, cfg, model, blockage, values):
+        c = replace(cfg, scatter_std=10.0, mean_active=3.0)
+        ch = c.channel
+        s_ref = 10.0 ** (c.gamma_th_db / 10.0) * gamma_cdf_bound_coefficient(ch.nakagami_los) \
+            * c.scatter_std ** ch.alpha_los / (ch.intercept_los * c.gain_table().boresight_gain)
+        est = laplace_oracle(c, model, "intra", [0.3 * s_ref, s_ref, 3.0 * s_ref], 1, 3000, 7,
+                             v=8.0, r_serving=4.0, blockage=blockage)
+        assert est.value.tolist() == values
 
     def test_array_arguments_share_realizations(self, cfg):
         est = laplace_oracle(cfg, AssociationModel.UNIFORM, "intra",
