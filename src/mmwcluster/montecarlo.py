@@ -396,40 +396,41 @@ def estimate_coverage(cfg: NetworkConfig, model: AssociationModel, gamma_th: flo
 def _conditioned_candidates(rng, cfg: NetworkConfig, model: AssociationModel,
                             v: float, r_serving: float, size: int,
                             blockage: BlockageMode):
-    """Draw the non-serving candidates given the serving distance.
+    """Draw ``size`` non-serving candidates given the serving distance.
 
     Nearest association conditions every other candidate to lie beyond the
     serving distance; nearest-unblocked association forbids only *unblocked*
     candidates inside it.  Both laws are realized by exact rejection on the
     plain Gaussian offsets, so the oracle stays independent of the
-    analytical density formulas.
+    analytical density formulas.  Returns flat distance and LOS-flag arrays.
     """
-    m = cfg.cluster_tx_count - 1
     sigma = cfg.scatter_std
     rate = cfg.channel.blockage_rate
-    center = np.array([v, 0.0])
-    offsets = rng.normal(0.0, sigma, (size, m, 2))
-    d = np.hypot(offsets[..., 0] + center[0], offsets[..., 1] + center[1])
+
+    def distances(k: int) -> np.ndarray:
+        offsets = rng.normal(0.0, sigma, (k, 2))
+        return np.hypot(offsets[:, 0] + v, offsets[:, 1])
+
+    d = distances(size)
     # nearest association draws the blockage of its final candidates only;
     # the other models draw it first, and a redrawn candidate draws its own
     nearest = model is AssociationModel.CLOSEST
     if not nearest:
-        flag = _los_flags(d, rng.random((size, m)), blockage, rate, False)
+        flag = _los_flags(d, rng.random(size), blockage, rate, False)
     if model is not AssociationModel.UNIFORM:
         for _ in range(10_000):
             bad = (d <= r_serving) if nearest else flag & (d <= r_serving)
             n_bad = int(np.count_nonzero(bad))
             if n_bad == 0:
                 break
-            fresh = rng.normal(0.0, sigma, (n_bad, 2))
-            d_new = np.hypot(fresh[:, 0] + center[0], fresh[:, 1] + center[1])
+            d_new = distances(n_bad)
             d[bad] = d_new
             if not nearest:
                 flag[bad] = _los_flags(d_new, rng.random(n_bad), blockage, rate, False)
         else:
             raise UsageError("rejection sampling stalled; serving distance too deep in the tail")
     if nearest:
-        flag = _los_flags(d, rng.random((size, m)), blockage, rate, False)
+        flag = _los_flags(d, rng.random(size), blockage, rate, False)
     return d, flag
 
 
@@ -451,8 +452,12 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
     if n_trials < 1:
         raise UsageError("n_trials must be >= 1")
     s_arr, n_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(n, dtype=float))
+    if not np.all(np.isfinite(s_arr)):
+        raise UsageError("s must be finite")
     if np.any(s_arr < 0.0):
         raise UsageError("s must be >= 0")
+    if not np.all(n_arr >= 1.0):
+        raise UsageError("n must be >= 1")
     sn = (s_arr * n_arr).ravel()
 
     ch = cfg.channel
@@ -461,24 +466,30 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
     if which == "intra":
         if v is None:
             raise UsageError("intra oracle requires the cluster-center distance v")
-        if model in (AssociationModel.CLOSEST, AssociationModel.CLOSEST_LOS) and r_serving is None:
-            raise UsageError("intra oracle for nearest models requires r_serving")
+        if not v >= 0.0:
+            raise UsageError("v must be >= 0")
+        if model is not AssociationModel.UNIFORM and (r_serving is None
+                                                      or not r_serving >= 0.0):
+            raise UsageError(f"{model.value} requires r_serving >= 0")
     else:
         _check_window(cfg)
 
     def block_sums(rng, size: int) -> tuple[np.ndarray, np.ndarray]:
         if which == "intra":
-            m = cfg.cluster_tx_count - 1
-            counts = np.minimum(rng.poisson(max(cfg.mean_active - 1.0, 0.0), size), m)
+            # the non-serving candidates are i.i.d. given (v, r_serving), so
+            # only the active ones are drawn, flat across the block
+            counts = np.minimum(rng.poisson(max(cfg.mean_active - 1.0, 0.0), size),
+                                cfg.cluster_tx_count - 1)
+            n_active = int(counts.sum())
             d, flag = _conditioned_candidates(rng, cfg, model, v, r_serving or 0.0,
-                                              size, blockage)
-            gain = _gain_draw(rng.random((size, m)), cum_probs, gains)
-            g_los = _fading(rng, ch.nakagami_los, (size, m))
-            g_nlos = _fading(rng, ch.nakagami_nlos, (size, m))
+                                              n_active, blockage)
+            gain = _gain_draw(rng.random(n_active), cum_probs, gains)
+            g_los = _fading(rng, ch.nakagami_los, n_active)
+            g_nlos = _fading(rng, ch.nakagami_nlos, n_active)
             loss_los, loss_nlos = _link_loss(d, ch)
             power = np.where(flag, gain * g_los * loss_los, gain * g_nlos * loss_nlos)
-            active = np.arange(m) < counts[:, None]
-            interference = np.sum(power * active, axis=1)
+            interference = np.bincount(np.repeat(np.arange(size), counts), weights=power,
+                                       minlength=size)
         else:
             field = _FieldBlock(rng, cfg, size, gains, cum_probs)
             i_los, i_nlos = field.interference(blockage, ch.blockage_rate, False)

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmwcluster.analytical import gamma_cdf_bound_coefficient
+from mmwcluster.analytical import gamma_cdf_bound_coefficient, laplace_intra
 from mmwcluster.config import default_config
 from mmwcluster.errors import UsageError
 from mmwcluster.model import AssociationModel, serving_distance_pdf
@@ -19,6 +21,7 @@ from mmwcluster.montecarlo import (
     laplace_oracle,
     sample_realization,
     simulate_sinr,
+    _conditioned_candidates,
     _fading,
     _gain_draw,
     _gain_law,
@@ -280,21 +283,71 @@ class TestLaplaceOracle:
             laplace_oracle(cfg, AssociationModel.CLOSEST, "intra", 1.0, 1, 100, 1,
                            v=5.0)
 
-    # recorded before the rejection sampler's two loops became one: the
-    # conditioned oracle must keep every draw, in the same order
+    @pytest.mark.parametrize("model, kwargs, message", [
+        (AssociationModel.UNIFORM, dict(s=1e6, n=-1, v=10.0), "n must be >= 1"),
+        (AssociationModel.UNIFORM, dict(s=1e6, n=0.5, v=10.0), "n must be >= 1"),
+        (AssociationModel.UNIFORM, dict(s=1e6, n=1, v=-10.0), "v must be >= 0"),
+        (AssociationModel.CLOSEST, dict(s=1e6, n=1, v=10.0, r_serving=-1.0),
+         "closest requires r_serving >= 0"),
+        (AssociationModel.CLOSEST_LOS, dict(s=1e6, n=1, v=10.0, r_serving=-1.0),
+         "closest_los requires r_serving >= 0"),
+    ])
+    def test_rejects_what_the_transform_rejects(self, cfg, model, kwargs, message):
+        with pytest.raises(UsageError, match=message):
+            laplace_intra(model, cfg=cfg, **kwargs)
+        s, n = kwargs.pop("s"), kwargs.pop("n")
+        with pytest.raises(UsageError, match=message):
+            laplace_oracle(cfg, model, "intra", s, n, 100, 1, **kwargs)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, [1e6, math.nan]])
+    @pytest.mark.parametrize("which", ["intra", "inter"])
+    def test_rejects_non_finite_argument(self, cfg, s, which):
+        with pytest.raises(UsageError, match="s must be finite"):
+            laplace_oracle(cfg, AssociationModel.UNIFORM, which, s, 1, 100, 1, v=10.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(v=st.floats(0.0, 30.0), r_serving=st.floats(0.0, 20.0),
+           model=st.sampled_from(list(AssociationModel)),
+           blockage=st.sampled_from([IidExponential(), LosBall(20.0)]),
+           size=st.integers(0, 64), seed=st.integers(0, 2**32))
+    def test_conditioned_candidates_are_flat_and_conditioned(self, cfg, v, r_serving, model,
+                                                             blockage, size, seed):
+        d, flag = _conditioned_candidates(_rng(seed), cfg, model, v, r_serving, size, blockage)
+        assert d.shape == (size,) and flag.shape == (size,)
+        if isinstance(blockage, LosBall):
+            assert np.array_equal(flag, d <= blockage.radius)
+        if model is AssociationModel.CLOSEST:
+            assert np.all(d > r_serving)
+        elif model is AssociationModel.CLOSEST_LOS:
+            assert not np.any(flag & (d <= r_serving))
+
+    def test_interferer_count_capped_at_other_candidates(self, cfg):
+        # two candidates at the largest load: the Poisson(1) interferer count
+        # is capped at one, so the transform is P(0) + P(>=1) * L1, where
+        # L1 = 1 + log(laplace_intra) is the transform of a single interferer
+        pair = replace(cfg, cluster_tx_count=2, mean_active=2.0)
+        uncapped = laplace_intra(AssociationModel.UNIFORM, 1, 1e10, pair.scatter_std, cfg=pair)
+        capped = math.exp(-1.0) + (1.0 - math.exp(-1.0)) * (1.0 + math.log(uncapped))
+        est = laplace_oracle(pair, AssociationModel.UNIFORM, "intra", 1e10, 1, 20000, 71,
+                             v=pair.scatter_std)
+        assert abs(est.value - capped) <= 3.0 * est.std_error
+        assert abs(est.value - uncapped) > 10.0 * est.std_error
+
+    # pins the conditioned oracle's draws: a change to any of them, or to
+    # their order, must re-record these values
     RECORDED_INTRA = [
         (AssociationModel.UNIFORM, IidExponential(),
-         [0.7881187194301346, 0.6663526240330756, 0.5430451286865121]),
+         [0.7616489338406249, 0.6412223345059451, 0.5241321208304571]),
         (AssociationModel.CLOSEST, IidExponential(),
-         [0.8243819431224162, 0.7114565006458755, 0.5848796847116825]),
+         [0.8115380142454017, 0.6910176938658761, 0.5640694905005761]),
         (AssociationModel.CLOSEST_LOS, IidExponential(),
-         [0.8220868943426604, 0.7023474391804567, 0.5727434404150012]),
+         [0.8138320346984969, 0.6938249931424184, 0.5641180142917956]),
         (AssociationModel.UNIFORM, LosBall(20.0),
-         [0.7239304395904784, 0.5752104598606149, 0.4336234740510096]),
+         [0.7007079583066734, 0.5562667616570378, 0.42239408854242827]),
         (AssociationModel.CLOSEST, LosBall(20.0),
-         [0.7596429287734618, 0.6158259271043897, 0.4641179779110519]),
+         [0.7433012058985596, 0.5968792676197684, 0.4514688236804446]),
         (AssociationModel.CLOSEST_LOS, LosBall(20.0),
-         [0.7452625204563591, 0.5987729763880287, 0.45122434097624264]),
+         [0.7466819086819817, 0.5984329500838788, 0.45144233550559304]),
     ]
 
     @pytest.mark.parametrize("model, blockage, values", RECORDED_INTRA)
