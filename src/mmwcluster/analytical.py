@@ -43,6 +43,8 @@ from .model import (
     NetworkConfig,
     cluster_center_distance_pdf,
     interferer_distance_pdf,
+    los_probability,
+    path_loss,
     serving_distance_pdf,
     serving_distance_pdf_approx,
 )
@@ -185,17 +187,15 @@ def _check_fading_shapes(ch: ChannelParams) -> None:
 
 
 def _link(ch: ChannelParams, w: np.ndarray, los: bool, weight=None):
-    """The w-only factors of one link kind at distances ``w``: intercept *
-    w^(-alpha), the Nakagami shape and the link-probability weight (None for
-    a link counted with weight 1)."""
-    if los:
-        return ch.intercept_los * w ** (-ch.alpha_los), ch.nakagami_los, weight
-    return ch.intercept_nlos * w ** (-ch.alpha_nlos), ch.nakagami_nlos, weight
+    """The w-only factors of one link kind at distances ``w``: the bare path
+    loss, the Nakagami shape and the link-probability weight (None for a link
+    counted with weight 1)."""
+    return path_loss(w, los, ch), ch.nakagami_los if los else ch.nakagami_nlos, weight
 
 
 def _links(ch: ChannelParams, w: np.ndarray):
     """Both link kinds at distances ``w``, each weighted by its probability."""
-    p_los = np.exp(-ch.blockage_rate * w)
+    p_los = los_probability(w, ch)
     return _link(ch, w, True, p_los), _link(ch, w, False, 1.0 - p_los)
 
 
@@ -214,16 +214,17 @@ def kernel_nlos(s, r, n: int, table: GainTable, channel: ChannelParams):
 def _kernel(s, r, n, table, channel, los: bool):
     s_arr = np.asarray(s, dtype=float)
     r_arr = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(s_arr)):
+        raise ValueError("s must be finite")
     if np.any(s_arr < 0.0):
         raise ValueError("s must be >= 0")
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be > 0")
+    if not np.all(np.isfinite(r_arr)) or np.any(r_arr <= 0.0):
+        raise ValueError("r must be finite and > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_fading_shapes(channel)
     gains, probs = table.as_arrays()
-    p_los = np.exp(-channel.blockage_rate * r_arr)
-    link = _link(channel, r_arr, los, p_los if los else 1.0 - p_los)
+    link = _links(channel, r_arr)[0 if los else 1]
     out = _kernel_grid(n * s_arr, (link,), gains, probs, _Workspace())
     if np.ndim(s) == 0 and np.ndim(r) == 0:
         return float(out)
@@ -458,6 +459,8 @@ def laplace_inter(n: int, s: float, cfg: NetworkConfig) -> float:
     """
     if n < 1:
         raise UsageError("n must be >= 1")
+    if not math.isfinite(s):
+        raise UsageError("s must be finite")
     if s < 0.0:
         raise UsageError("s must be >= 0")
     _check_fading_shapes(cfg.channel)
@@ -511,8 +514,8 @@ def _intra_laws(model: AssociationModel, v, r_serving, flags: CoverageFlags,
         return [(_links(ch, w2), pdf2)]
     # the blocked nearest-unblocked interferers keep the untruncated law
     pdf = interferer_distance_pdf(model, w, v_w, None, cfg, interferer_is_los=False) * (hi * wt)
-    los = _link(ch, w2, True, np.exp(-ch.blockage_rate * w2))
-    nlos = _link(ch, w, False, 1.0 - np.exp(-ch.blockage_rate * w))
+    los = _link(ch, w2, True, los_probability(w2, ch))
+    nlos = _link(ch, w, False, 1.0 - los_probability(w, ch))
     return [((los,), pdf2), ((nlos,), pdf)]
 
 
@@ -551,9 +554,11 @@ def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
         raise UsageError("cfg is required")
     if n < 1:
         raise UsageError("n must be >= 1")
+    if not math.isfinite(s):
+        raise UsageError("s must be finite")
     if s < 0.0:
         raise UsageError("s must be >= 0")
-    if v is None or v < 0.0:
+    if v is None or not v >= 0.0:
         raise UsageError("v must be >= 0")
     _check_fading_shapes(cfg.channel)
     if flags.use_assumption2 and model is not AssociationModel.UNIFORM:
@@ -562,7 +567,7 @@ def laplace_intra(model: AssociationModel, n: int, s: float, v: float,
     needs_serving = model in (AssociationModel.CLOSEST, AssociationModel.CLOSEST_LOS) \
         and not flags.use_assumption1
     if needs_serving:
-        if r_serving is None or r_serving < 0.0:
+        if r_serving is None or not r_serving >= 0.0:
             raise UsageError(f"{model.value} requires r_serving >= 0")
     if cfg.mean_active <= 1.0:
         return 1.0
@@ -659,7 +664,7 @@ def _coverage_raw(model: AssociationModel, gammas, flags: CoverageFlags,
         r_pow = r ** alphas                                    # (branch, nv, nr)
         if serving_blockage:
             # serving-link blockage weights per branch
-            p_los = np.exp(-ch.blockage_rate * r)
+            p_los = los_probability(r, ch)
             serv_wt = np.where(los_mask, p_los, 1.0 - p_los)
         laws = _intra_laws(model, v, r, flags, cfg, w_rule) if with_intra else None
 

@@ -222,24 +222,21 @@ def los_probability(d, channel: ChannelParams):
     return float(out) if np.ndim(d) == 0 else out
 
 
-def path_loss(d, is_los, channel: ChannelParams):
-    """Power attenuation over distance d for the given blockage state.
+def path_loss(d, is_los: bool, channel: ChannelParams):
+    """Power attenuation intercept * d^(-alpha) over distances d for one
+    scalar blockage state ``is_los`` (True: the unblocked law).
 
-    The pure power law diverges at d = 0, so zero distances are rejected;
-    the Monte Carlo engine clamps distances to the 1 m reference instead.
+    The power law diverges at d = 0, so zero distances are rejected; the bound
+    integrates the bare law, the Monte Carlo engine clamps d to the 1 m reference.
     """
     d_arr = np.asarray(d, dtype=float)
     if np.any(d_arr <= 0.0) or not np.all(np.isfinite(d_arr)):
         raise ValueError("distance must be finite and > 0")
-    los_arr = np.asarray(is_los, dtype=bool)
-    out = np.where(
-        los_arr,
-        channel.intercept_los * d_arr ** (-channel.alpha_los),
-        channel.intercept_nlos * d_arr ** (-channel.alpha_nlos),
-    )
-    if np.ndim(d) == 0 and np.ndim(is_los) == 0:
-        return float(out)
-    return out
+    if is_los:
+        out = channel.intercept_los * d_arr ** (-channel.alpha_los)
+    else:
+        out = channel.intercept_nlos * d_arr ** (-channel.alpha_nlos)
+    return float(out) if np.ndim(d) == 0 else out
 
 
 def default_noise_power(bandwidth_hz: float, noise_figure_db: float = 10.0,
@@ -269,8 +266,8 @@ def cluster_center_distance_pdf(v, cfg: NetworkConfig):
 
 
 @lru_cache(maxsize=512)
-def _los_weighted_cdf(v: float, sigma: float, rate: float) -> CumulativeQuadrature:
-    """Cached cumulative integral of exp(-rate*t) * Rician(t; v, sigma^2).
+def _los_weighted_cdf(v: float, sigma: float, channel: ChannelParams) -> CumulativeQuadrature:
+    """Cached cumulative integral of los_probability(t) * Rician(t; v, sigma^2).
 
     Sits inside the nearest-unblocked-transmitter density, which in turn sits
     inside double integrals; caching the panel prefix sums makes repeated
@@ -282,14 +279,14 @@ def _los_weighted_cdf(v: float, sigma: float, rate: float) -> CumulativeQuadratu
     hi = v + 14.0 * sigma
 
     def weighted(t):
-        return np.exp(-rate * t) * rician_pdf(t, v, var)
+        return los_probability(t, channel) * rician_pdf(t, v, var)
 
     return CumulativeQuadrature(weighted, hi, segments=640, order=8)
 
 
 def los_association_probability(v: float, cfg: NetworkConfig) -> float:
     """Probability that at least one of the M candidates has an unblocked link."""
-    per_device = _los_weighted_cdf(float(v), cfg.scatter_std, cfg.channel.blockage_rate).total
+    per_device = _los_weighted_cdf(float(v), cfg.scatter_std, cfg.channel).total
     return 1.0 - (1.0 - per_device) ** cfg.cluster_tx_count
 
 
@@ -318,13 +315,12 @@ def serving_distance_pdf(model: AssociationModel, r, v, cfg: NetworkConfig):
         tail = marcum_q1(v_arr / sigma, r_arr / sigma)
         out = m * tail ** (m - 1) * rician_pdf(r_arr, v_arr, var)
     elif model is AssociationModel.CLOSEST_LOS:
-        rate = cfg.channel.blockage_rate
         r_b, v_b = np.broadcast_arrays(r_arr, v_arr)
         cdf = np.empty(r_b.shape)
         for v_k in np.unique(v_b):
             at = v_b == v_k
-            cdf[at] = _los_weighted_cdf(float(v_k), sigma, rate).value(r_b[at])
-        weighted = np.exp(-rate * r_arr) * rician_pdf(r_arr, v_arr, var)
+            cdf[at] = _los_weighted_cdf(float(v_k), sigma, cfg.channel).value(r_b[at])
+        weighted = los_probability(r_arr, cfg.channel) * rician_pdf(r_arr, v_arr, var)
         out = m * (1.0 - cdf) ** (m - 1) * weighted
     else:  # pragma: no cover - exhaustive enum
         raise UsageError(f"unknown association model {model}")
@@ -388,11 +384,10 @@ def serving_distance_pdf_approx(model: AssociationModel, r, cfg: NetworkConfig):
     elif model is AssociationModel.CLOSEST_LOS:
         # 1 - integral_0^r exp(-rate*t) Rayleigh(t; 2 sigma^2) dt in closed form:
         # integrate by parts, then complete the square in the Gaussian.
-        rate = cfg.channel.blockage_rate
-        k = rate * sigma
+        k = cfg.channel.blockage_rate * sigma
         e = np.exp(-r_arr * (r_arr + 4.0 * k * sigma) / (4.0 * sigma * sigma))
         remaining = e + k * math.sqrt(math.pi) * (erfcx(k) - erfcx(0.5 * r_arr / sigma + k) * e)
-        weighted = np.exp(-rate * r_arr) * rayleigh_pdf(r_arr, var2)
+        weighted = los_probability(r_arr, cfg.channel) * rayleigh_pdf(r_arr, var2)
         out = m * remaining ** (m - 1) * weighted
     else:  # pragma: no cover - exhaustive enum
         raise UsageError(f"unknown association model {model}")

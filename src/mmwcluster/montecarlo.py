@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import UsageError
-from .model import AssociationModel, NetworkConfig
+from .model import AssociationModel, ChannelParams, NetworkConfig, los_probability, path_loss
 
 __all__ = [
     "IidExponential",
@@ -132,12 +132,12 @@ def _check_window(cfg: NetworkConfig):
 
 
 def _los_flags(d: np.ndarray, u: np.ndarray, blockage: BlockageMode,
-               rate: float, force_los: bool) -> np.ndarray:
+               channel: ChannelParams, force_los: bool) -> np.ndarray:
     if force_los:
         return np.ones(d.shape, dtype=bool)
     if isinstance(blockage, LosBall):
         return d <= blockage.radius
-    return u < np.exp(-rate * d)
+    return u < los_probability(d, channel)
 
 
 def _gain_law(table) -> tuple[np.ndarray, np.ndarray]:
@@ -157,10 +157,10 @@ def _fading(rng, shape: int, size) -> np.ndarray:
     return rng.gamma(shape, 1.0 / shape, size)
 
 
-def _link_loss(d: np.ndarray, ch) -> tuple[np.ndarray, np.ndarray]:
+def _link_loss(d: np.ndarray, ch: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     """LOS and NLOS path loss, with distances clamped to the 1 m reference."""
     dc = np.maximum(d, 1.0)
-    return ch.intercept_los * dc ** (-ch.alpha_los), ch.intercept_nlos * dc ** (-ch.alpha_nlos)
+    return path_loss(dc, True, ch), path_loss(dc, False, ch)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def _link_loss(d: np.ndarray, ch) -> tuple[np.ndarray, np.ndarray]:
 class _FieldBlock:
     """Inter-cluster devices of one block, flat across trials."""
 
-    __slots__ = ("trial", "d", "u_los", "counts", "power_los", "power_nlos", "size")
+    __slots__ = ("trial", "d", "u_los", "counts", "power_los", "power_nlos", "size", "channel")
 
     def __init__(self, rng, cfg: NetworkConfig, n: int, gains, cum_probs):
         ch = cfg.channel
@@ -199,11 +199,12 @@ class _FieldBlock:
         self.d = d
         self.counts = counts
         self.size = n
+        self.channel = ch
 
-    def interference(self, blockage: BlockageMode, rate: float,
+    def interference(self, blockage: BlockageMode,
                      force_los: bool) -> tuple[np.ndarray, np.ndarray]:
         """Per-trial sums of LOS-link and NLOS-link interference power."""
-        flag = _los_flags(self.d, self.u_los, blockage, rate, force_los)
+        flag = _los_flags(self.d, self.u_los, blockage, self.channel, force_los)
         i_los = np.bincount(self.trial, weights=self.power_los * flag, minlength=self.size)
         i_nlos = np.bincount(self.trial, weights=self.power_nlos * (~flag), minlength=self.size)
         return i_los, i_nlos
@@ -213,7 +214,7 @@ class _TypicalBlock:
     """Candidate transmitters of the receiver's own cluster for one block."""
 
     __slots__ = ("d", "u_los", "rank", "n_intra", "power_los", "power_nlos",
-                 "fading_los", "fading_nlos", "size")
+                 "fading_los", "fading_nlos", "size", "channel")
 
     def __init__(self, rng, cfg: NetworkConfig, n: int, gains, cum_probs):
         ch = cfg.channel
@@ -241,9 +242,10 @@ class _TypicalBlock:
         self.power_los = gain * self.fading_los * loss_los
         self.power_nlos = gain * self.fading_nlos * loss_nlos
         self.size = n
+        self.channel = ch
 
-    def flags(self, blockage: BlockageMode, rate: float, force_los: bool) -> np.ndarray:
-        return _los_flags(self.d, self.u_los, blockage, rate, force_los)
+    def flags(self, blockage: BlockageMode, force_los: bool) -> np.ndarray:
+        return _los_flags(self.d, self.u_los, blockage, self.channel, force_los)
 
     def serving(self, model: AssociationModel, flag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Serving candidate index per trial and the association-failure mask."""
@@ -341,7 +343,6 @@ def estimate_coverage_many(cfg: NetworkConfig, gamma_th: float, cases: Sequence[
 
     table = cfg.gain_table()
     gains, cum_probs = _gain_law(table)
-    rate = cfg.channel.blockage_rate
     need_inter = any(options.include_inter for _, options, _ in cases)
 
     def block_successes(rng, size: int) -> np.ndarray:
@@ -358,7 +359,7 @@ def estimate_coverage_many(cfg: NetworkConfig, gamma_th: float, cases: Sequence[
 
         hits = np.zeros(len(cases), dtype=np.int64)
         for ci, (model, options, blockage) in enumerate(cases):
-            law = (blockage, rate, options.force_los)
+            law = (blockage, options.force_los)
             num, den = _sinr_terms(cfg, table.boresight_gain, options, typical,
                                    *serving(model, *law), flags(*law),
                                    interference(*law) if options.include_inter else None)
@@ -405,7 +406,6 @@ def _conditioned_candidates(rng, cfg: NetworkConfig, model: AssociationModel,
     analytical density formulas.  Returns flat distance and LOS-flag arrays.
     """
     sigma = cfg.scatter_std
-    rate = cfg.channel.blockage_rate
 
     def distances(k: int) -> np.ndarray:
         offsets = rng.normal(0.0, sigma, (k, 2))
@@ -416,7 +416,7 @@ def _conditioned_candidates(rng, cfg: NetworkConfig, model: AssociationModel,
     # the other models draw it first, and a redrawn candidate draws its own
     nearest = model is AssociationModel.CLOSEST
     if not nearest:
-        flag = _los_flags(d, rng.random(size), blockage, rate, False)
+        flag = _los_flags(d, rng.random(size), blockage, cfg.channel, False)
     if model is not AssociationModel.UNIFORM:
         for _ in range(10_000):
             bad = (d <= r_serving) if nearest else flag & (d <= r_serving)
@@ -426,11 +426,11 @@ def _conditioned_candidates(rng, cfg: NetworkConfig, model: AssociationModel,
             d_new = distances(n_bad)
             d[bad] = d_new
             if not nearest:
-                flag[bad] = _los_flags(d_new, rng.random(n_bad), blockage, rate, False)
+                flag[bad] = _los_flags(d_new, rng.random(n_bad), blockage, cfg.channel, False)
         else:
             raise UsageError("rejection sampling stalled; serving distance too deep in the tail")
     if nearest:
-        flag = _los_flags(d, rng.random(size), blockage, rate, False)
+        flag = _los_flags(d, rng.random(size), blockage, cfg.channel, False)
     return d, flag
 
 
@@ -492,7 +492,7 @@ def laplace_oracle(cfg: NetworkConfig, model: AssociationModel, which: str,
                                        minlength=size)
         else:
             field = _FieldBlock(rng, cfg, size, gains, cum_probs)
-            i_los, i_nlos = field.interference(blockage, ch.blockage_rate, False)
+            i_los, i_nlos = field.interference(blockage, False)
             interference = i_los + i_nlos
         vals = np.exp(-sn[:, None] * interference[None, :])
         return vals.sum(axis=1), (vals * vals).sum(axis=1)
@@ -534,8 +534,7 @@ class NetworkRealization:
 
     def __init__(self, cfg: NetworkConfig, model: AssociationModel,
                  blockage: BlockageMode, typical: _TypicalBlock, field: _FieldBlock):
-        rate = cfg.channel.blockage_rate
-        flag = typical.flags(blockage, rate, False)
+        flag = typical.flags(blockage, False)
         idx, failed = typical.serving(model, flag)
         self._blockage = blockage
         self._typical = typical
@@ -549,7 +548,7 @@ class NetworkRealization:
         self.candidate_los = flag[0]
         self.candidate_fading_los = typical.fading_los[0]
         self.candidate_fading_nlos = typical.fading_nlos[0]
-        self.field_los = _los_flags(field.d, field.u_los, blockage, rate, False)
+        self.field_los = _los_flags(field.d, field.u_los, blockage, cfg.channel, False)
         self.field_counts = field.counts
 
     def candidate_distances(self) -> np.ndarray:
@@ -598,11 +597,10 @@ def simulate_sinr(realization: NetworkRealization, cfg: NetworkConfig,
     if realization.association_failed:
         return 0.0
     blockage = realization._blockage
-    rate = cfg.channel.blockage_rate
-    flag = realization._typical.flags(blockage, rate, options.force_los)
+    flag = realization._typical.flags(blockage, options.force_los)
     field_terms = None
     if options.include_inter:
-        field_terms = realization._field.interference(blockage, rate, options.force_los)
+        field_terms = realization._field.interference(blockage, options.force_los)
     num, den = _sinr_terms(cfg, cfg.gain_table().boresight_gain, options, realization._typical,
                            np.array([realization.serving_index]), np.zeros(1, dtype=bool),
                            flag, field_terms)

@@ -21,6 +21,7 @@ from .model import (
     AssociationModel,
     NetworkConfig,
     los_association_probability,
+    los_probability,
     serving_distance_pdf,
 )
 
@@ -138,9 +139,9 @@ def run_validation(cfg: NetworkConfig, n_trials: int = 20_000, seed: int = 1,
 
     dists = np.array([5.0, 15.0, 30.0, 60.0])
     u = rng.random((200_000, dists.size))
-    p = np.exp(-cfg.channel.blockage_rate * dists)
-    emp = montecarlo._los_flags(dists, u, montecarlo.IidExponential(),
-                                cfg.channel.blockage_rate, False).mean(axis=0)
+    p = los_probability(dists, cfg.channel)
+    emp = montecarlo._los_flags(dists, u, montecarlo.IidExponential(), cfg.channel,
+                                False).mean(axis=0)
     z = np.abs(emp - p) / np.sqrt(p * (1.0 - p) / u.shape[0])
     add("los_fraction_z", float(z.max()), 3.5)
 

@@ -95,6 +95,17 @@ class TestKernels:
                 assert np.all(total <= 1.0 + 1e-12)
                 assert np.all(total >= 0.0)
 
+    @pytest.mark.parametrize("kernel", [kernel_los, kernel_nlos])
+    @pytest.mark.parametrize("s, r, message", [
+        (math.nan, 5.0, "s must be finite"),
+        (math.inf, 5.0, "s must be finite"),
+        (1.0, math.nan, "r must be finite and > 0"),
+        (1.0, [5.0, math.inf], "r must be finite and > 0"),
+    ])
+    def test_rejects_non_finite_arguments(self, cfg, kernel, s, r, message):
+        with pytest.raises(ValueError, match=message):
+            kernel(s, r, 1, cfg.gain_table(), cfg.channel)
+
     def test_rejects_large_fading_shape(self, cfg):
         bad = replace(cfg, channel=replace(cfg.channel, nakagami_los=11))
         with pytest.raises(UsageError):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmwcluster.analytical import gamma_cdf_bound_coefficient, laplace_intra
+from mmwcluster.analytical import _link, gamma_cdf_bound_coefficient, laplace_inter, laplace_intra
 from mmwcluster.config import default_config
 from mmwcluster.errors import UsageError
-from mmwcluster.model import AssociationModel, serving_distance_pdf
+from mmwcluster.model import AssociationModel, path_loss, serving_distance_pdf
 from mmwcluster.montecarlo import (
     IidExponential,
     LosBall,
@@ -25,6 +25,7 @@ from mmwcluster.montecarlo import (
     _fading,
     _gain_draw,
     _gain_law,
+    _link_loss,
     _los_flags,
 )
 from mmwcluster._quadrature import CumulativeQuadrature
@@ -259,8 +260,23 @@ class TestFadingAndGainDraws:
         rate = cfg.channel.blockage_rate
         for d in (5.0, 20.0, 50.0):
             p = math.exp(-rate * d)
-            emp = float(_los_flags(d, rng.random(n), IidExponential(), rate, False).mean())
+            emp = float(_los_flags(d, rng.random(n), IidExponential(), cfg.channel, False).mean())
             assert abs(emp - p) <= 3.9 * math.sqrt(p * (1 - p) / n)
+
+
+class TestLinkLoss:
+    def test_simulator_clamps_below_reference_and_bound_does_not(self, cfg):
+        # the simulator holds links shorter than the 1 m reference at the
+        # reference loss; the bound integrates the bare power law everywhere
+        ch = cfg.channel
+        d = np.array([1e-6, 0.01, 0.5, 0.999, 1.0, 1.001, 3.0, 42.0, 800.0])
+        below = d < 1.0
+        for is_los, loss in zip((True, False), _link_loss(d, ch)):
+            assert np.array_equal(loss[below], np.full(below.sum(), path_loss(1.0, is_los, ch)))
+            assert np.array_equal(loss[~below], path_loss(d[~below], is_los, ch))
+            bare, _, _ = _link(ch, d, is_los)
+            assert np.array_equal(bare, path_loss(d, is_los, ch))
+            assert np.all(bare[below] > loss[below])
 
 
 class TestLaplaceOracle:
@@ -291,6 +307,14 @@ class TestLaplaceOracle:
          "closest requires r_serving >= 0"),
         (AssociationModel.CLOSEST_LOS, dict(s=1e6, n=1, v=10.0, r_serving=-1.0),
          "closest_los requires r_serving >= 0"),
+        (AssociationModel.UNIFORM, dict(s=math.nan, n=1, v=10.0), "s must be finite"),
+        (AssociationModel.CLOSEST, dict(s=math.inf, n=1, v=10.0, r_serving=5.0),
+         "s must be finite"),
+        (AssociationModel.UNIFORM, dict(s=1e6, n=1, v=math.nan), "v must be >= 0"),
+        (AssociationModel.CLOSEST, dict(s=1e6, n=1, v=10.0, r_serving=math.nan),
+         "closest requires r_serving >= 0"),
+        (AssociationModel.CLOSEST_LOS, dict(s=1e6, n=1, v=10.0, r_serving=math.nan),
+         "closest_los requires r_serving >= 0"),
     ])
     def test_rejects_what_the_transform_rejects(self, cfg, model, kwargs, message):
         with pytest.raises(UsageError, match=message):
@@ -298,6 +322,15 @@ class TestLaplaceOracle:
         s, n = kwargs.pop("s"), kwargs.pop("n")
         with pytest.raises(UsageError, match=message):
             laplace_oracle(cfg, model, "intra", s, n, 100, 1, **kwargs)
+
+    @pytest.mark.parametrize("s, message", [(math.nan, "s must be finite"),
+                                            (math.inf, "s must be finite"),
+                                            (-1.0, "s must be >= 0")])
+    def test_inter_rejects_what_the_transform_rejects(self, cfg, s, message):
+        with pytest.raises(UsageError, match=message):
+            laplace_inter(1, s, cfg)
+        with pytest.raises(UsageError, match=message):
+            laplace_oracle(cfg, AssociationModel.UNIFORM, "inter", s, 1, 100, 1)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, [1e6, math.nan]])
     @pytest.mark.parametrize("which", ["intra", "inter"])
